@@ -42,8 +42,8 @@ from .intlinalg import (
     row_kernel_vector,
     vec_mat,
 )
-from .conjugacy import UnionFind, _cumulative_counts
-from .words import BallTable, GeneratingSet, enumerate_ball
+from .conjugacy import UnionFind
+from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -312,7 +312,7 @@ def _partition_counts(table: BallTable, uf: UnionFind, n: int) -> list[int]:
         root = uf.find(g)
         if part_len.get(root, l + 1) > l:
             part_len[root] = l
-    return _cumulative_counts(part_len.values(), n)
+    return cumulative_counts(part_len.values(), n)
 
 
 @dataclass
@@ -378,7 +378,7 @@ def twisted_growth_structural(
         key = (vbar, g[-1] % m) if m else (vbar, g[-1])
         if lengths.get(key, l + 1) > l:
             lengths[key] = l
-    return _cumulative_counts(lengths.values(), n)
+    return cumulative_counts(lengths.values(), n)
 
 
 def classes_per_abelianized_point(result: TwistedGrowthResult) -> dict[Vector, int]:
@@ -434,7 +434,7 @@ def extension_conjugacy_growth(
         cur = [apply_automorphism(spec, f, x) for x in cur]
     if any(x != g for x, g in zip(cur, gens_std)):
         raise SpecError(f"automorphism does not have order dividing {order}")
-    totals = [0] * (n + 1)
+    lengths = []
     for i in range(order):
         ct = min(i, order - i)
         ni = n - ct
@@ -453,14 +453,8 @@ def extension_conjugacy_growth(
             root = uf.find(g)
             if part_len.get(root, l + 1) > l:
                 part_len[root] = l
-        for l in part_len.values():
-            if ct + l <= n:
-                totals[ct + l] += 1
-    out, acc = [], 0
-    for c in totals:
-        acc += c
-        out.append(acc)
-    return out
+        lengths += [ct + l for l in part_len.values()]
+    return cumulative_counts(lengths, n)
 
 
 def coset_count(sublattice_basis, dim: int, n: int) -> int:

@@ -53,7 +53,7 @@ def load_spec(value: str) -> GroupSpec:
         raise SpecError(f"unknown spec {value!r}: not a named spec or a file")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise SpecError(f"bad spec file {value}: {exc}") from exc
     return spec_from_json_dict(data)
 
@@ -123,21 +123,20 @@ def _emit_report(out: str | None, report: dict, manifest: dict) -> None:
 
 def _read_table(path: str) -> list[float]:
     """CSV with an n column first and the value in the last column, n contiguous from 0 or 1."""
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(next(csv.reader([line])))
-    if not rows:
-        raise SpecError(f"empty table {path}")
-    body = rows[1:] if not rows[0][0].lstrip("-").isdigit() else rows
+    try:
+        with open(path, newline="") as fh:
+            rows = [next(csv.reader([line])) for line in fh if line.strip() and not line.startswith("#")]
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read table {path}: {exc}") from exc
+    body = rows[1:] if rows and not rows[0][0].lstrip("-").isdigit() else rows
     pairs = []
     for row in body:
         try:
             pairs.append((int(row[0]), float(row[-1])))
         except ValueError as exc:
             raise SpecError(f"bad table row {row}: {exc}") from exc
+    if not pairs:
+        raise SpecError(f"empty table {path}")
     pairs.sort()
     start = pairs[0][0]
     if start not in (0, 1) or any(n != start + i for i, (n, _) in enumerate(pairs)):
@@ -159,9 +158,7 @@ def _load_automorphism(spec: GroupSpec, path: str):
 def cmd_ball(args) -> int:
     started = time.time()
     spec = load_spec(args.spec)
-    table = enumerate_ball(
-        spec, standard_generating_set(spec), args.radius, budget=args.budget, threads=args.threads
-    )
+    table = enumerate_ball(spec, standard_generating_set(spec), args.radius, budget=args.budget)
     balls = table.ball_sizes()
     rows = [(n, table.sphere_sizes[n], balls[n]) for n in range(args.radius + 1)]
     _emit_table(args.out, ["n", "sphere", "ball"], rows, _manifest(args, spec, started))
@@ -173,7 +170,7 @@ def cmd_growth(args) -> int:
     spec = load_spec(args.spec)
     gens = standard_generating_set(spec)
     if args.mode == "word":
-        counts = enumerate_ball(spec, gens, args.radius, budget=args.budget, threads=args.threads).ball_sizes()
+        counts = enumerate_ball(spec, gens, args.radius, budget=args.budget).ball_sizes()
     else:
         counts = central_growth(spec, gens, args.radius, budget=args.budget)
     rows = list(enumerate(counts))
@@ -331,13 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="ball/sphere sizes", description="Columns: n, sphere (size of sphere n), ball (cumulative).")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="worker threads for BFS expansion")
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("growth", help="word or central growth", description="Columns: n, count (ball size, or central elements up to n).")
     common(p)
     p.add_argument("--mode", choices=["word", "central"], default="word")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("conj", help="conjugacy growth", description="Columns: n, classes (exact/oracle) or n, lower, upper, central_exact (bounds).")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SpecError, StructuralError
 from .gcdsums import LatticeBallSpec, gcd_sum
 from .groups import (
@@ -27,7 +29,16 @@ from .groups import (
     power,
     standard_generators,
 )
-from .words import BallTable, GeneratingSet, enumerate_ball, standard_generating_set
+from .words import (
+    BallTable,
+    GeneratingSet,
+    central_growth,
+    cumulative_counts,
+    enumerate_ball,
+    sorted_difference,
+    sorted_unique,
+    standard_generating_set,
+)
 
 
 def class_modulus(spec: GroupSpec, v: Vector) -> int:
@@ -93,25 +104,38 @@ class UnionFind:
 
 
 def class_lengths(spec: GroupSpec, table: BallTable) -> dict[ConjClassKey, int]:
-    """Minimal word length per class key over the ball."""
+    """Minimal word length per class key over the ball.
+
+    Runs on the sphere key arrays.  A class key packs as body * radix_k + r,
+    with r = k mod m for the class modulus m > 0 and r = k + k_bound (the k
+    digit itself) for central classes; the codec's k bound covers m, so r is
+    a valid k digit.  The first sphere that meets a class key gives its
+    minimal length.
+    """
+    if table.spec != spec:
+        raise SpecError("ball table was enumerated for another spec")
+    codec = table.codec
+    seen = np.empty(0, dtype=np.int64)
     lengths: dict[ConjClassKey, int] = {}
-    for g, l in table.entries.items():
-        key = class_key(spec, g)
-        if lengths.get(key, l + 1) > l:
-            lengths[key] = l
+    for level, keys in enumerate(table.spheres):
+        body, digit = np.divmod(keys, codec.radix_k)
+        m = _class_moduli(spec, codec, keys)
+        resid = np.where(m > 0, (digit - codec.k_bound) % np.maximum(m, 1), digit)
+        fresh = sorted_difference(sorted_unique(body * codec.radix_k + resid), seen)
+        seen = np.sort(np.concatenate((seen, fresh)))
+        central = _class_moduli(spec, codec, fresh) == 0
+        for g, is_central in zip(codec.unpack(fresh), central.tolist()):
+            lengths[ConjClassKey(g[:-1], g[-1] if is_central else g[-1] + codec.k_bound)] = level
     return lengths
 
 
-def _cumulative_counts(lengths, n: int) -> list[int]:
-    counts = [0] * (n + 1)
-    for l in lengths:
-        if l <= n:
-            counts[l] += 1
-    out, total = [], 0
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray) -> np.ndarray:
+    """class_modulus of every key's abelianization: gcd_t(w_t i_t, w_t j_t), read off the i/j digits."""
+    m = np.zeros(len(keys), dtype=np.int64)
+    for t, w in enumerate(spec.weights):
+        a = spec.s + 2 * t
+        m = np.gcd(m, np.gcd(w * codec.column(keys, a), w * codec.column(keys, a + 1)))
+    return m
 
 
 def conjugacy_growth_exact(
@@ -126,7 +150,7 @@ def conjugacy_growth_exact(
         table = enumerate_ball(spec, gens, n, budget=budget)
     elif table.radius < n:
         raise SpecError("supplied ball table is too small")
-    return _cumulative_counts(class_lengths(spec, table).values(), n)
+    return cumulative_counts(class_lengths(spec, table).values(), n)
 
 
 def conjugacy_growth_oracle(
@@ -159,7 +183,7 @@ def conjugacy_growth_oracle(
         root = uf.find(g)
         if part_len.get(root, l + 1) > l:
             part_len[root] = l
-    return _cumulative_counts(part_len.values(), n)
+    return cumulative_counts(part_len.values(), n)
 
 
 def central_ball_window(n: int) -> tuple[int, int]:
@@ -201,10 +225,7 @@ def conjugacy_growth_bounds(
     inner = gcd_sum(LatticeBallSpec(dim, n - 2, "l1"), method="sieve") if n >= 2 else 0
     outer = gcd_sum(LatticeBallSpec(dim, n, "l1"), method="sieve")
     if n <= cache_radius:
-        gens = standard_generating_set(spec)
-        table = enumerate_ball(spec, gens, n, budget=budget)
-        body = spec.dim
-        beta = sum(1 for g in table.entries if all(g[p] == 0 for p in range(body)))
+        beta = central_growth(spec, standard_generating_set(spec), n, budget=budget)[-1]
         return BoundsReport(n=n, lower=beta + inner, upper=beta + outer, central_exact=True)
     beta_lo, beta_hi = central_ball_window(n)
     return BoundsReport(n=n, lower=beta_lo + inner, upper=beta_hi + outer, central_exact=False)
@@ -256,15 +277,7 @@ def colinear_commute_check(spec: GroupSpec, g: Element, h: Element) -> tuple[boo
 
 def _product_pair_counts(lengths_a: list[int], lengths_b: list[int], n: int) -> list[int]:
     """Counts of class pairs with length sum <= m, m = 0..n."""
-    hist_b = [0] * (n + 1)
-    for l in lengths_b:
-        if l <= n:
-            hist_b[l] += 1
-    prefix_b = []
-    total = 0
-    for c in hist_b:
-        total += c
-        prefix_b.append(total)
+    prefix_b = cumulative_counts(lengths_b, n)
     out = []
     for m in range(n + 1):
         cnt = 0
@@ -310,7 +323,7 @@ def direct_product_inequality_check(
         table = enumerate_ball(spec, standard_generating_set(spec), 2 * n, budget=budget)
         ls = [l for l in class_lengths(spec, table).values() if l <= 2 * n]
         lengths.append(ls)
-        counts.append(_cumulative_counts(ls, 2 * n))
+        counts.append(cumulative_counts(ls, 2 * n))
     product_counts = _product_pair_counts(lengths[0], lengths[1], 2 * n)
     report = ProductReport(
         n=n, counts_a=counts[0], counts_b=counts[1], counts_product=product_counts

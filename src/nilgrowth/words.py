@@ -1,28 +1,55 @@
 """Word-metric balls, word lengths, and growth-exponent fits.
 
 Balls are enumerated by exact breadth-first search over the Cayley graph of a
-finite generating set (inverses added automatically).  Lengths are stored in a
-hash map keyed by the full coordinate tuple; coordinates in a radius-n ball
-stay small (|i|, |j| <= n, |k| = O(n^2)), so plain Python integers suffice.
+finite generating set (inverses added automatically).  Every element of a
+radius-n ball is packed into one int64 key: a mixed-radix number over its
+coordinates in order, each offset by an a-priori bound (n times the largest
+step entry for a non-central coordinate, O(n^2) for k through the weighted
+cross term).  Ascending key order is lexicographic coordinate order.
+
+The step set is symmetric, so every neighbour of sphere L lies in sphere
+L-1, L or L+1.  Sphere L+1 is therefore the one-step expansion of sphere L
+minus spheres L and L-1, and each sphere is kept as a sorted key array with
+no ball-wide seen set.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import BudgetError, SpecError
 from .groups import Element, GroupSpec, _inverse, standard_generators
 
 DEFAULT_BUDGET = 10**8
+# Packed keys stay below this, so a key plus one step's delta cannot overflow int64.
+KEY_LIMIT = 2**62
 
 
 def resolve_budget(budget: int | None) -> int:
     """Explicit budget, else NILGROWTH_BUDGET from the environment, else 10^8 elements."""
     if budget is not None:
         return budget
-    return int(os.environ.get("NILGROWTH_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("NILGROWTH_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecError(f"NILGROWTH_BUDGET must be an integer, got {raw!r}") from None
+
+
+def cumulative_counts(lengths, n: int) -> list[int]:
+    """Entry m, for m = 0..n, counts the given lengths that are <= m."""
+    hist = [0] * (n + 1)
+    for l in lengths:
+        if l <= n:
+            hist[l] += 1
+    return list(accumulate(hist))
 
 
 @dataclass(frozen=True)
@@ -42,29 +69,6 @@ def standard_generating_set(spec: GroupSpec) -> GeneratingSet:
     return GeneratingSet(standard_generators(spec), label="standard")
 
 
-@dataclass
-class BallTable:
-    """Exact word lengths for every element of the radius-n ball."""
-
-    spec: GroupSpec
-    gens: GeneratingSet
-    radius: int
-    entries: dict[Element, int]
-    sphere_sizes: list[int]
-
-    def ball_sizes(self) -> list[int]:
-        """Cumulative counts beta(m) for m = 0..radius."""
-        out = []
-        total = 0
-        for c in self.sphere_sizes:
-            total += c
-            out.append(total)
-        return out
-
-    def sphere(self, length: int) -> list[Element]:
-        return sorted(g for g, l in self.entries.items() if l == length)
-
-
 def _step_set(spec: GroupSpec, gens: GeneratingSet) -> list[Element]:
     """Generators and their inverses, deduplicated, identity dropped."""
     steps: dict[Element, None] = {}
@@ -78,36 +82,132 @@ def _step_set(spec: GroupSpec, gens: GeneratingSet) -> list[Element]:
     return list(steps)
 
 
-def _step_plan(spec: GroupSpec, steps: list[Element]):
-    """Per step: (coordinate tuple, k-correction terms) for the in-loop product.
+class KeyCodec:
+    """Mixed-radix int64 keys for the elements of the radius-n ball over a step set.
 
-    g*x adds x's coordinates and corrects k by -sum_t w_t * j_t(g) * i_t(x);
-    only the t with i_t(x) != 0 contribute, recorded as (b-slot index, -w_t i_t(x)).
+    Coordinate p is stored as the digit x_p + bounds[p] in [0, radices[p]);
+    k is the last, least significant digit, so key // radix_k is the body
+    (every coordinate but k).  The k bound also covers the class modulus
+    gcd_t(w_t i_t, w_t j_t), so a class residue fits in a k digit.
     """
-    s = spec.s
-    plan = []
-    for x in steps:
-        terms = tuple(
-            (s + 2 * t + 1, -w * x[s + 2 * t])
-            for t, w in enumerate(spec.weights)
-            if x[s + 2 * t]
-        )
-        plan.append((x, terms))
-    return plan
+
+    def __init__(self, spec: GroupSpec, steps: list[Element], n: int):
+        top = [max((abs(x[p]) for x in steps), default=0) for p in range(spec.ncoords)]
+        body = [n * t for t in top[:-1]]
+        pairs = [(w, spec.s + 2 * t) for t, w in enumerate(spec.weights)]
+        # g*x adds -w_t j_t(g) i_t(x) to k, and |j_t(g)| <= (m - 1) max|j_t| before step m.
+        k_bound = n * top[-1] + sum(w * top[a] * top[a + 1] for w, a in pairs) * (n * (n - 1) // 2)
+        k_bound = max([k_bound] + [w * max(body[a], body[a + 1]) for w, a in pairs])
+        self.bounds = body + [k_bound]
+        self.radices = [2 * b + 1 for b in self.bounds]
+        strides = [1]
+        for radix in reversed(self.radices[1:]):
+            strides.append(strides[-1] * radix)
+        self.strides = strides[::-1]
+        if self.strides[0] * self.radices[0] >= KEY_LIMIT:
+            raise SpecError(
+                f"the radius-{n} ball does not fit 64-bit packed keys "
+                f"(radix product {self.strides[0] * self.radices[0]} >= 2^62)"
+            )
+        self.k_bound = k_bound
+        self.radix_k = self.radices[-1]
+        self.identity = sum(b * stride for b, stride in zip(self.bounds, self.strides))
+        self.deltas = np.array([self._offset(x) for x in steps], dtype=np.int64)
+        # (j_t digit position, -w_t i_t(x) per step) for every pair some step moves along a_t.
+        self.cross = [
+            (a + 1, np.array([-w * x[a] for x in steps], dtype=np.int64)) for w, a in pairs if any(x[a] for x in steps)
+        ]
+
+    def pack(self, g: Element) -> int | None:
+        """The key of g, or None when g lies outside the coordinate bounds (so outside the ball)."""
+        if any(abs(x) > b for x, b in zip(g, self.bounds)):
+            return None
+        return self.identity + self._offset(g)
+
+    def _offset(self, g: Element) -> int:
+        return sum(x * stride for x, stride in zip(g, self.strides))
+
+    def column(self, keys: np.ndarray, p: int) -> np.ndarray:
+        """Coordinate p of every key."""
+        return keys // self.strides[p] % self.radices[p] - self.bounds[p]
+
+    def unpack(self, keys: np.ndarray) -> list[Element]:
+        """Coordinate tuples, in key order."""
+        coords = keys[:, None] // np.array(self.strides, dtype=np.int64) % np.array(self.radices, dtype=np.int64)
+        return list(map(tuple, (coords - np.array(self.bounds, dtype=np.int64)).tolist()))
+
+    def expand(self, keys: np.ndarray) -> np.ndarray:
+        """Keys of every one-step product g*x, g in keys, x in the step set (with repeats)."""
+        out = keys[:, None] + self.deltas[None, :]
+        for pos, corr in self.cross:
+            out += self.column(keys, pos)[:, None] * corr[None, :]
+        return out.ravel()
 
 
-def _expand(plan, chunk: list[Element]) -> list[Element]:
-    """All one-step products g*x for g in chunk, in deterministic order."""
-    out = []
-    for g in chunk:
-        gk = g[-1]
-        body = g[:-1]
-        for x, terms in plan:
-            k = gk + x[-1]
-            for idx, coeff in terms:
-                k += coeff * g[idx]
-            out.append(tuple(a + b for a, b in zip(body, x)) + (k,))
-    return out
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique by sorting: numpy's hash-based unique is far slower on large int64 arrays."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def sorted_difference(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The keys not in other; both sorted."""
+    if not len(other):
+        return keys
+    pos = np.searchsorted(other, keys).clip(max=len(other) - 1)
+    return keys[other[pos] != keys]
+
+
+def _spheres(codec: KeyCodec, n: int, cap: int):
+    """Yield (L, sorted keys of sphere L) for L = 1..n, checking the cumulative ball size against cap.
+
+    A sphere's budget check runs when the consumer asks for the next one, so a
+    length search that stops at the sphere holding its target skips it.
+    """
+    prev = np.empty(0, dtype=np.int64)
+    cur = np.array([codec.identity], dtype=np.int64)
+    total = 1
+    for level in range(1, n + 1):
+        nxt = sorted_difference(sorted_difference(sorted_unique(codec.expand(cur)), cur), prev)
+        yield level, nxt
+        total += len(nxt)
+        if total > cap:
+            raise BudgetError(
+                f"ball of radius {level} needs more than {cap} stored elements",
+                needed=total,
+                budget=cap,
+            )
+        prev, cur = cur, nxt
+
+
+@dataclass(eq=False)
+class BallTable:
+    """Exact word lengths for the radius-n ball: one sorted key array per sphere."""
+
+    spec: GroupSpec
+    gens: GeneratingSet
+    radius: int
+    codec: KeyCodec
+    spheres: list[np.ndarray]
+
+    @property
+    def sphere_sizes(self) -> list[int]:
+        return [len(keys) for keys in self.spheres]
+
+    def ball_sizes(self) -> list[int]:
+        """Cumulative counts beta(m) for m = 0..radius."""
+        return list(accumulate(self.sphere_sizes))
+
+    @cached_property
+    def entries(self) -> dict[Element, int]:
+        """Element -> word length, sphere by sphere and lexicographic within a sphere."""
+        out: dict[Element, int] = {}
+        for level, keys in enumerate(self.spheres):
+            out.update(dict.fromkeys(self.codec.unpack(keys), level))
+        return out
+
+    def sphere(self, length: int) -> list[Element]:
+        return self.codec.unpack(self.spheres[length]) if 0 <= length <= self.radius else []
 
 
 def enumerate_ball(
@@ -115,49 +215,15 @@ def enumerate_ball(
     gens: GeneratingSet,
     n: int,
     budget: int | None = None,
-    threads: int = 1,
 ) -> BallTable:
-    """Exact BFS ball of radius n; raises BudgetError past the element cap.
-
-    The parallel path splits each frontier level into chunks and merges them in
-    chunk order; with the per-level sort this is bit-identical to sequential.
-    """
+    """Exact BFS ball of radius n; raises BudgetError past the element cap."""
     if n < 0:
         raise SpecError("radius must be nonnegative")
     cap = resolve_budget(budget)
-    plan = _step_plan(spec, _step_set(spec, gens))
-    entries: dict[Element, int] = {spec.identity(): 0}
-    sphere_sizes = [1]
-    frontier = [spec.identity()]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for level in range(1, n + 1):
-            if pool is not None and len(frontier) >= 4 * threads:
-                size = -(-len(frontier) // threads)
-                chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-                parts = pool.map(lambda ch: _expand(plan, ch), chunks)
-                candidates = [g for part in parts for g in part]
-            else:
-                candidates = _expand(plan, frontier)
-            fresh = {g for g in candidates if g not in entries}
-            if len(entries) + len(fresh) > cap:
-                raise BudgetError(
-                    f"ball of radius {level} needs more than {cap} stored elements",
-                    needed=len(entries) + len(fresh),
-                    budget=cap,
-                )
-            frontier = sorted(fresh)
-            for g in frontier:
-                entries[g] = level
-            sphere_sizes.append(len(frontier))
-            if not frontier:
-                break
-        while len(sphere_sizes) < n + 1:
-            sphere_sizes.append(0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return BallTable(spec=spec, gens=gens, radius=n, entries=entries, sphere_sizes=sphere_sizes)
+    codec = KeyCodec(spec, _step_set(spec, gens), n)
+    spheres = [np.array([codec.identity], dtype=np.int64)]
+    spheres += [keys for _, keys in _spheres(codec, n, cap)]
+    return BallTable(spec=spec, gens=gens, radius=n, codec=codec, spheres=spheres)
 
 
 def word_length(
@@ -173,25 +239,16 @@ def word_length(
     if len(g) != spec.ncoords:
         raise SpecError("element does not match spec")
     cap = resolve_budget(budget)
-    plan = _step_plan(spec, _step_set(spec, gens))
-    seen: set[Element] = {spec.identity()}
     if g == spec.identity():
         return 0
-    frontier = [spec.identity()]
-    for level in range(1, cutoff + 1):
-        fresh = {h for h in _expand(plan, frontier) if h not in seen}
-        if g in fresh:
+    codec = KeyCodec(spec, _step_set(spec, gens), cutoff)
+    target = codec.pack(g)
+    if target is None:
+        return None
+    for level, keys in _spheres(codec, cutoff, cap):
+        pos = np.searchsorted(keys, target)
+        if pos < len(keys) and keys[pos] == target:
             return level
-        if len(seen) + len(fresh) > cap:
-            raise BudgetError(
-                f"length search at radius {level} exceeds {cap} stored elements",
-                needed=len(seen) + len(fresh),
-                budget=cap,
-            )
-        seen.update(fresh)
-        frontier = list(fresh)
-        if not frontier:
-            break
     return None
 
 
@@ -207,17 +264,10 @@ def central_growth(
         table = enumerate_ball(spec, gens, n, budget=budget)
     elif table.radius < n:
         raise SpecError("supplied ball table is too small")
-    counts = [0] * (n + 1)
-    body = spec.dim
-    for g, l in table.entries.items():
-        if l <= n and all(g[p] == 0 for p in range(body)):
-            counts[l] += 1
-    out = []
-    total = 0
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+    codec = table.codec
+    centre = codec.identity // codec.radix_k
+    counts = [int(np.count_nonzero(keys // codec.radix_k == centre)) for keys in table.spheres[: n + 1]]
+    return list(accumulate(counts))
 
 
 def bass_guivarch_exponent(spec: GroupSpec) -> int:

@@ -135,3 +135,46 @@ def test_embeddings_report(tmp_path):
 
 def test_verify_quick():
     assert main(["verify", "--spec", "H1", "--quick"]) == EXIT_OK
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("NILGROWTH_BUDGET", "abc")
+    assert main(["ball", "--spec", "H1", "--radius", "3"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_missing_or_empty_series_table_is_a_usage_error(tmp_path, capsys):
+    assert main(["series", "fit", "--in", str(tmp_path / "missing.csv"), "--window", "1:3"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("n,value\n\n")
+    assert main(["series", "detect-qp", "--in", str(header_only)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_directory_spec_is_a_usage_error(tmp_path, capsys):
+    assert main(["ball", "--spec", str(tmp_path), "--radius", "3"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_key_overflow_is_a_usage_error(tmp_path, capsys):
+    # A weight of 10^15 puts the k bound of the radius-3 ball past 64-bit packed keys.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"s": 0, "r": 2, "delta": [10**15]}))
+    assert main(["ball", "--spec", str(path), "--radius", "3"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_threads_flag_is_gone(tmp_path):
+    for command in ("ball", "growth"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", "H1", "--radius", "2", "--threads", "2"])
+        assert exc.value.code == 2
+    out = tmp_path / "ball.csv"
+    assert main(["ball", "--spec", "H1", "--radius", "2", "--out", str(out)]) == EXIT_OK
+    assert "threads" not in json.loads((tmp_path / "ball.csv.manifest.json").read_text())["parameters"]

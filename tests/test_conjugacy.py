@@ -179,6 +179,8 @@ def test_length_window_a_cubed():
     table = enumerate_ball(spec, standard_generating_set(spec), 6)
     lengths = class_lengths(spec, table)
     assert lengths[class_key(spec, (3, 0, 0))] == 3
+    with pytest.raises(SpecError):
+        class_lengths(named_spec("ZxH1"), table)
 
 
 def test_colinear_commute():

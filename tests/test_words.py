@@ -4,9 +4,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nilgrowth.conjugacy import class_key, class_lengths
 from nilgrowth.errors import BudgetError, SpecError
-from nilgrowth.groups import central_element, make_group_spec, multiply, named_spec
+from nilgrowth.groups import central_element, inverse, make_group_spec, multiply, named_spec
 from nilgrowth.words import (
     GeneratingSet,
     bass_guivarch_exponent,
@@ -129,14 +132,75 @@ def test_budget_error():
     assert info.value.needed > 20
 
 
-def test_parallel_matches_sequential():
-    spec = named_spec("H2")
+def _reference_ball(spec, gens, n):
+    """Dense dict-of-tuples BFS, sphere by sphere, sorted within each sphere: the engine's reference."""
+    steps = {h for g in gens.gens for h in (g, inverse(spec, g))} - {spec.identity()}
+    entries = {spec.identity(): 0}
+    frontier = [spec.identity()]
+    for level in range(1, n + 1):
+        frontier = sorted({multiply(spec, g, x) for g in frontier for x in steps} - entries.keys())
+        entries.update(dict.fromkeys(frontier, level))
+    return entries
+
+
+def _reference_class_lengths(spec, entries):
+    lengths = {}
+    for g, l in entries.items():
+        lengths.setdefault(class_key(spec, g), l)
+    return lengths
+
+
+@st.composite
+def _specs_and_gens(draw):
+    r = draw(st.integers(0, 2))
+    s = draw(st.integers(0 if r else 1, 1))
+    delta = (draw(st.integers(1, 3)),) if r == 2 else ()
+    spec = make_group_spec(s, r, delta)
+    entry = st.integers(-2, 2)
+    gens = draw(st.lists(st.tuples(*[entry] * spec.ncoords), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens += list(standard_generating_set(spec).gens)
+    return spec, GeneratingSet(tuple(gens)), draw(st.integers(0, 4 if len(gens) <= 3 else 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens())
+@example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5))
+@example((named_spec("H1"), GeneratingSet(standard_generating_set(named_spec("H1")).gens + ((0, 0, 1),)), 4))
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4))
+# Class modulus 2 * 2 = 4 above the k radix 2 * 1 + 1 of the radius-1 ball.
+@example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1))
+def test_engine_matches_dense_reference(case):
+    spec, gens, n = case
+    table = enumerate_ball(spec, gens, n)
+    ref = _reference_ball(spec, gens, n)
+    assert list(table.entries.items()) == list(ref.items())
+    assert table.sphere_sizes == [list(ref.values()).count(l) for l in range(n + 1)]
+    assert class_lengths(spec, table) == _reference_class_lengths(spec, ref)
+    central = [sum(1 for g, l in ref.items() if l <= m and not any(g[:-1])) for m in range(n + 1)]
+    assert central_growth(spec, gens, n, table=table) == central
+    for g, l in list(ref.items())[:: max(1, len(ref) // 5)]:
+        assert word_length(spec, g, gens, n) == l
+
+
+def test_key_overflow_is_a_spec_error():
+    spec = named_spec("H1")
+    huge = GeneratingSet(((10**12, 0, 0), (0, 10**12, 0)))
+    with pytest.raises(SpecError, match="64-bit"):
+        enumerate_ball(spec, huge, 3)
+    with pytest.raises(SpecError, match="64-bit"):
+        word_length(spec, (1, 0, 0), huge, 3)
+
+
+def test_word_length_budget():
+    spec = named_spec("H1")
     gens = standard_generating_set(spec)
-    seq = enumerate_ball(spec, gens, 5, threads=1)
-    par = enumerate_ball(spec, gens, 5, threads=4)
-    assert seq.entries == par.entries
-    assert seq.sphere_sizes == par.sphere_sizes
-    assert sorted(seq.entries) == sorted(par.entries)
+    with pytest.raises(BudgetError) as info:
+        word_length(spec, (6, 0, 0), gens, 6, budget=20)
+    assert (info.value.needed, info.value.budget) == (53, 20)
+    # A target found on a sphere is returned without that sphere's budget check.
+    assert word_length(spec, (1, 1, 0), gens, 6, budget=5) == 2
+    assert word_length(spec, (7, 0, 0), gens, 6, budget=5) is None
 
 
 def test_generating_set_robustness(h1_ball12):
