@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -191,10 +192,8 @@ def cmd_conj(args) -> int:
         rows = list(enumerate(counts))
         header = ["n", "classes"]
     else:
-        rows = []
-        for n in range(args.radius + 1):
-            rep = conjugacy_growth_bounds(spec, n, budget=args.budget)
-            rows.append((n, rep.lower, rep.upper, int(rep.central_exact)))
+        reports = conjugacy_growth_bounds(spec, args.radius, budget=args.budget)
+        rows = [(rep.n, rep.lower, rep.upper, int(rep.central_exact)) for rep in reports]
         header = ["n", "lower", "upper", "central_exact"]
     _emit_table(args.out, header, rows, _manifest(args, spec, started))
     return EXIT_OK
@@ -204,11 +203,11 @@ def cmd_gcdsum(args) -> int:
     started = time.time()
     if args.step < 1:
         raise SpecError("step must be >= 1")
-    offset = _parse_offset(args.offset) if args.offset else (0,) * args.dim
+    offset = _parse_offset(args.offset) if args.offset else ()
+    ball = LatticeBallSpec(dim=args.dim, radius=args.radius, norm=args.norm, offset=offset)
     rows = []
     for n in range(1, args.radius + 1, args.step):
-        ball = LatticeBallSpec(dim=args.dim, radius=n, norm=args.norm, offset=offset)
-        rows.append((n, gcd_sum(ball, budget=args.budget, method=args.method)))
+        rows.append((n, gcd_sum(replace(ball, radius=n), budget=args.budget, method=args.method)))
     _emit_table(args.out, ["n", "sum"], rows, _manifest(args, None, started))
     return EXIT_OK
 

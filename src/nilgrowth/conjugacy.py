@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecError, StructuralError
-from .gcdsums import LatticeBallSpec, gcd_sum
+from .gcdsums import l1_gcd_sums
 from .groups import (
     Element,
     GroupSpec,
@@ -212,23 +212,28 @@ class BoundsReport:
 
 def conjugacy_growth_bounds(
     spec: GroupSpec,
-    n: int,
+    radius: int,
     cache_radius: int = 12,
     budget: int | None = None,
-) -> BoundsReport:
-    """beta_<c>(n) + gcd sums over l1 balls of radius n-2 and n, bracketing c(n)."""
+) -> list[BoundsReport]:
+    """Sandwich bounds for n = 0..radius: beta_<c>(n) plus l1 gcd sums of radius n-2 and n.
+
+    beta_<c> is BFS-exact up to cache_radius (one central_growth call) and the
+    central_ball_window estimate beyond it; the gcd sums come from one sieve.
+    """
     if spec.s != 0 or spec.r == 0 or any(d != 1 for d in spec.delta):
         raise SpecError("sandwich bounds are proven for H_r only (s=0, trivial D)")
-    if n < 0:
+    if radius < 0:
         raise SpecError("radius must be nonnegative")
-    dim = 2 * spec.r
-    inner = gcd_sum(LatticeBallSpec(dim, n - 2, "l1"), method="sieve") if n >= 2 else 0
-    outer = gcd_sum(LatticeBallSpec(dim, n, "l1"), method="sieve")
-    if n <= cache_radius:
-        beta = central_growth(spec, standard_generating_set(spec), n, budget=budget)[-1]
-        return BoundsReport(n=n, lower=beta + inner, upper=beta + outer, central_exact=True)
-    beta_lo, beta_hi = central_ball_window(n)
-    return BoundsReport(n=n, lower=beta_lo + inner, upper=beta_hi + outer, central_exact=False)
+    sums = l1_gcd_sums(2 * spec.r, radius, method="sieve", budget=budget)
+    beta = central_growth(spec, standard_generating_set(spec), max(0, min(radius, cache_radius)), budget=budget)
+    reports = []
+    for n in range(radius + 1):
+        inner = sums[n - 2] if n >= 2 else 0
+        exact = n <= cache_radius
+        lo, hi = (beta[n], beta[n]) if exact else central_ball_window(n)
+        reports.append(BoundsReport(n=n, lower=lo + inner, upper=hi + sums[n], central_exact=exact))
+    return reports
 
 
 @dataclass
@@ -485,7 +490,6 @@ class DominationReport:
 def subgroup_domination_report(
     spec: GroupSpec,
     n: int,
-    lam_cap: int = 20,
     budget: int | None = None,
 ) -> DominationReport:
     """Exploratory check that c_{Gamma_1} is dominated by c_{H_D}.
@@ -496,7 +500,7 @@ def subgroup_domination_report(
     if spec.s != 0 or spec.r == 0:
         raise SpecError("domination report is defined for H_D")
     hr = make_group_spec(0, spec.r, (1,) * (spec.r - 1))
-    lam_max = min(lam_cap, 2)  # ambient ball at radius lam*n; degree-(2r+2) balls grow fast
+    lam_max = 2  # ambient ball at radius lam*n; degree-(2r+2) balls grow fast
     sub_counts = conjugacy_growth_exact(hr, standard_generating_set(hr), n, budget=budget)
     amb_counts = conjugacy_growth_exact(
         spec, standard_generating_set(spec), lam_max * n, budget=budget

@@ -1,16 +1,27 @@
 """Exact gcd sums over lattice balls and their zeta-ratio asymptotics.
 
-Sums are exact integers.  The default engine enumerates ball points directly
-(numpy-chunked, iterating leading axes and vectorizing the trailing ones).
-A totient-sieve evaluation of the same sums is kept as an independent oracle:
-gcd(x) = sum_{e | x} phi(e) for x != 0 turns the ball sum into
-sum_e phi(e) * (#multiples of e in the ball, minus the zero point).
+Sums are exact integers, computed by two independent routes.
+
+The direct route is plain enumeration, factored one axis at a time.  A
+histogram hist[u, v] counts the partial points (over the axes folded so far)
+whose used l1 radius is u and whose running gcd is v.  Folding an axis maps
+each state through (u + |y|, gcd(v, |a + y|)) for every step y of that axis,
+with exact int64 counts, and the sum is sum_v v * hist[u, v] as a Python int.
+Cube axes cost nothing, so a cube is a single row; an l1 fold of radius N
+leaves one row per exact norm u <= N, and one pass gives S(0), ..., S(N).
+
+The sieve route never enumerates points.  gcd(x) = sum_{e | x} phi(e) for
+x != 0 turns a ball sum into sum_e phi(e) * (#multiples of e in the ball,
+minus the zero point).  For centred l1 balls the same identity gives
+S(n) - S(n-1) = sum_{e | n} phi(e) * |sphere_l1(n / e)|, so one totient
+sieve gives the whole sequence.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,6 +30,8 @@ from .words import resolve_budget
 
 CUBE = "cube"
 L1 = "l1"
+FOLD_BLOCK = 1 << 14  # cells of one gcd table block in a fold; its temporaries stay near 128 KB each
+POINT_LIMIT = 1 << 62  # int64 histogram counts stay exact below this many points
 
 
 @dataclass(frozen=True)
@@ -34,7 +47,7 @@ class LatticeBallSpec:
         if self.dim < 1:
             raise SpecError("dim must be >= 1")
         if self.radius < 0:
-            raise SpecError("radius must be >= 0")
+            raise SpecError("radius must be nonnegative")
         if self.norm not in (CUBE, L1):
             raise SpecError(f"norm must be {CUBE!r} or {L1!r}")
         if not self.offset:
@@ -57,8 +70,21 @@ def cube_ball_count(dim: int, radius: int) -> int:
     return (2 * radius + 1) ** dim
 
 
-def _totients(limit: int) -> np.ndarray:
-    """phi(1..limit) by a linear sieve."""
+def _check_budget(needed: int, budget: int | None, what: str) -> None:
+    cap = resolve_budget(budget)
+    if needed > cap:
+        raise BudgetError(f"{what}, beyond the {cap} cap", needed=needed, budget=cap)
+
+
+def _check_points(points: int, budget: int | None) -> None:
+    if points >= POINT_LIMIT:
+        raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
+    _check_budget(points, budget, f"ball has {points} points")
+
+
+def _totients(limit: int, budget: int | None) -> np.ndarray:
+    """phi(0..limit) by a sieve over primes; the limit + 1 cells go through the budget."""
+    _check_budget(limit + 1, budget, f"totient sieve needs {limit + 1} cells")
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
@@ -66,76 +92,62 @@ def _totients(limit: int) -> np.ndarray:
     return phi
 
 
-def _check_budget(points: int, budget: int | None):
-    cap = resolve_budget(budget)
-    if points > cap:
-        raise BudgetError(f"ball has {points} points, beyond the {cap} cap", needed=points, budget=cap)
+def _axis(lo: int, hi: int, shift: int, l1: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps y in [lo, hi] grouped by (cost, value) with their multiplicities.
+
+    The value is |y + shift|; the cost is |y| on an l1 axis and 0 on a cube axis.
+    """
+    ys = np.arange(lo, hi + 1, dtype=np.int64)
+    costs = np.abs(ys) if l1 else np.zeros_like(ys)
+    pairs, mults = np.unique(np.stack([costs, np.abs(ys + shift)]), axis=1, return_counts=True)
+    return pairs[0], pairs[1], mults
 
 
-def _outer_gcd_sum(g: int, ys: np.ndarray, xs: np.ndarray) -> int:
-    """Sum of gcd(g, y, x) over the grid ys x xs, in bounded-memory row blocks."""
-    block = max(1, (1 << 22) // max(len(xs), 1))
-    total = 0
-    for lo in range(0, len(ys), block):
-        tab = np.gcd.outer(ys[lo : lo + block], xs)
-        if g:
-            tab = np.gcd(g, tab)
-        total += int(tab.sum())
-    return total
+def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
+    """Fold one axis into hist[u, v], the count of partial points with used radius u and running gcd v.
+
+    Each state moves to (u + cost, gcd(v, value)) for every axis entry; states
+    whose used radius passes the last row drop out.  The gcd table is built in
+    row blocks of at most FOLD_BLOCK cells and scattered with exact int64 adds.
+    """
+    costs, values, mults = axis
+    rows, width = hist.shape
+    flat = hist.ravel()
+    support = np.flatnonzero(flat)
+    cells = len(support) * len(values)
+    _check_budget(cells, budget, f"gcd fold needs {cells} cells")
+    used, gcd = np.divmod(support, width)
+    out = np.zeros_like(flat)
+    step = max(1, FOLD_BLOCK // len(values))
+    for lo in range(0, len(support), step):
+        block = slice(lo, lo + step)
+        # An l1 block repeats each gcd once per used radius: take each distinct row once.
+        distinct, row = np.unique(gcd[block], return_inverse=True)
+        to_used = used[block, None] + costs
+        keep = to_used < rows
+        target = to_used * width + np.gcd.outer(distinct, values)[row]
+        np.add.at(out, target[keep], (flat[support[block], None] * mults)[keep])
+    return out.reshape(rows, width)
+
+
+def _direct_sums(axes: list, rows: int, budget: int | None) -> list[int]:
+    """Fold every axis into the empty point; entry u is the gcd sum over points of used radius u."""
+    width = 1 + max(int(values.max()) for _, values, _ in axes)
+    _check_budget(rows * width, budget, f"gcd histogram needs {rows * width} cells")
+    hist = np.zeros((rows, width), dtype=np.int64)
+    hist[0, 0] = 1
+    for axis in axes:
+        hist = _fold(hist, axis, budget)
+    return (hist.astype(object) @ np.arange(width, dtype=object)).tolist()
 
 
 def _cube_sum_direct(ball: LatticeBallSpec, budget: int | None) -> int:
-    """Direct enumeration over the (possibly offset) box, trailing two axes vectorized."""
-    n, dim, a = ball.radius, ball.dim, ball.offset
-    _check_budget(cube_ball_count(dim, n), budget)
-    axes = [np.abs(np.arange(-n + a[p], n + a[p] + 1, dtype=np.int64)) for p in range(dim)]
-    if dim == 1:
-        return int(axes[0].sum())
-    if dim == 2:
-        return _outer_gcd_sum(0, axes[0], axes[1])
-    total = 0
-    lead_axes = axes[:-2]
-    idx = [0] * len(lead_axes)
-    while True:
-        g = 0
-        for p, ax in enumerate(lead_axes):
-            g = math.gcd(g, int(ax[idx[p]]))
-        total += _outer_gcd_sum(g, axes[-2], axes[-1])
-        p = len(lead_axes) - 1
-        while p >= 0:
-            idx[p] += 1
-            if idx[p] < len(lead_axes[p]):
-                break
-            idx[p] = 0
-            p -= 1
-        if p < 0:
-            break
-    return total
+    n = ball.radius
+    _check_points(cube_ball_count(ball.dim, n), budget)
+    return _direct_sums([_axis(-n, n, a, l1=False) for a in ball.offset], 1, budget)[0]
 
 
-def _l1_sum_direct(ball: LatticeBallSpec, budget: int | None) -> int:
-    """Direct enumeration over {x : |x|_1 <= n}, last axis vectorized."""
-    n, dim, a = ball.radius, ball.dim, ball.offset
-    _check_budget(l1_ball_count(dim, n), budget)
-    if dim == 1:
-        xs = np.arange(-n + a[0], n + a[0] + 1, dtype=np.int64)
-        return int(np.abs(xs).sum())
-    total = 0
-
-    def rec(axis: int, remaining: int, g: int):
-        nonlocal total
-        if axis == dim - 1:
-            xs = np.arange(-remaining + a[axis], remaining + a[axis] + 1, dtype=np.int64)
-            total += int(np.gcd(g, np.abs(xs)).sum())
-            return
-        for x in range(-remaining, remaining + 1):
-            rec(axis + 1, remaining - abs(x), math.gcd(g, abs(x + a[axis])))
-
-    rec(0, n, 0)
-    return total
-
-
-def _cube_sum_sieve(ball: LatticeBallSpec) -> int:
+def _cube_sum_sieve(ball: LatticeBallSpec, budget: int | None) -> int:
     """Totient identity over the offset box; exact."""
     n, dim, a = ball.radius, ball.dim, ball.offset
     lo = [-n + a[p] for p in range(dim)]
@@ -143,7 +155,7 @@ def _cube_sum_sieve(ball: LatticeBallSpec) -> int:
     limit = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
     if limit == 0:
         return 0
-    phi = _totients(limit)
+    phi = _totients(limit, budget)
     zero_inside = all(l <= 0 <= h for l, h in zip(lo, hi))
     total = 0
     for e in range(1, limit + 1):
@@ -160,27 +172,47 @@ def _cube_sum_sieve(ball: LatticeBallSpec) -> int:
     return total
 
 
-def _l1_sum_sieve(ball: LatticeBallSpec) -> int:
-    """Totient identity over a centered l1 ball (zero offset only)."""
+def l1_gcd_sums(
+    dim: int,
+    radius: int,
+    offset: tuple[int, ...] = (),
+    method: str = "direct",
+    budget: int | None = None,
+) -> list[int]:
+    """[S(0), ..., S(radius)], where S(n) sums gcd(x + offset) over the l1 ball |x|_1 <= n.
+
+    direct: one fold over (used radius, gcd) states gives the sum for every
+    exact norm; offsets are allowed.  sieve: S(n) - S(n-1) is
+    sum_{e | n} phi(e) * |sphere_l1(n / e)|, from one totient sieve; centred
+    balls only.
+    """
+    ball = LatticeBallSpec(dim, radius, L1, tuple(offset))
+    n = ball.radius
+    if method == "direct":
+        _check_points(l1_ball_count(dim, n), budget)
+        per_norm = _direct_sums([_axis(-n, n, a, l1=True) for a in ball.offset], n + 1, budget)
+        return list(accumulate(per_norm))
+    if method != "sieve":
+        raise SpecError(f"unknown method {method!r}")
     if any(ball.offset):
         raise SpecError("sieve engine does not support l1 balls with offsets")
-    n, dim = ball.radius, ball.dim
-    if n == 0:
-        return 0
-    phi = _totients(n)
-    return sum(int(phi[e]) * (l1_ball_count(dim, n // e) - 1) for e in range(1, n + 1))
+    phi = _totients(n, budget)
+    balls = [l1_ball_count(dim, k) for k in range(n + 1)]
+    spheres = np.array([0] + [b - a for a, b in zip(balls, balls[1:])], dtype=object)
+    steps = np.zeros(n + 1, dtype=object)
+    for e in range(1, n + 1):
+        steps[e::e] += int(phi[e]) * spheres[1 : n // e + 1]
+    return list(accumulate(steps.tolist()))
 
 
 def gcd_sum(ball: LatticeBallSpec, budget: int | None = None, method: str = "direct") -> int:
     """Exact sum of gcd(x) over the ball, with gcd(0,...,0) = 0."""
+    if ball.norm == L1:
+        return l1_gcd_sums(ball.dim, ball.radius, ball.offset, method=method, budget=budget)[-1]
     if method == "direct":
-        if ball.norm == CUBE:
-            return _cube_sum_direct(ball, budget)
-        return _l1_sum_direct(ball, budget)
+        return _cube_sum_direct(ball, budget)
     if method == "sieve":
-        if ball.norm == CUBE:
-            return _cube_sum_sieve(ball)
-        return _l1_sum_sieve(ball)
+        return _cube_sum_sieve(ball, budget)
     raise SpecError(f"unknown method {method!r}")
 
 
@@ -191,33 +223,12 @@ def positive_cube_gcd_sum(dim: int, n: int, budget: int | None = None, method: s
     if n < 1:
         return 0
     if method == "sieve":
-        phi = _totients(n)
+        phi = _totients(n, budget)
         return sum(int(phi[e]) * (n // e) ** dim for e in range(1, n + 1))
     if method != "direct":
         raise SpecError(f"unknown method {method!r}")
-    _check_budget(n**dim, budget)
-    xs = np.arange(1, n + 1, dtype=np.int64)
-    if dim == 1:
-        return int(xs.sum())
-    if dim == 2:
-        return _outer_gcd_sum(0, xs, xs)
-    total = 0
-    idx = [0] * (dim - 2)
-    while True:
-        g = 0
-        for v in idx:
-            g = math.gcd(g, v + 1)
-        total += _outer_gcd_sum(g, xs, xs)
-        p = len(idx) - 1
-        while p >= 0:
-            idx[p] += 1
-            if idx[p] < n:
-                break
-            idx[p] = 0
-            p -= 1
-        if p < 0:
-            break
-    return total
+    _check_points(n**dim, budget)
+    return _direct_sums([_axis(1, n, 0, l1=False)] * dim, 1, budget)[0]
 
 
 def expected_gcd(dim: int, n: int, budget: int | None = None, method: str = "direct") -> float:

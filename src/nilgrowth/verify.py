@@ -27,7 +27,7 @@ from .conjugacy import (
     hd_embeddings,
 )
 from .errors import StructuralError
-from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, positive_cube_gcd_sum
+from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, l1_gcd_sums, positive_cube_gcd_sum
 from .groups import (
     GroupSpec,
     central_element,
@@ -136,8 +136,9 @@ def check_central_window(spec: GroupSpec, radius: int = 10) -> None:
 def check_sandwich(spec: GroupSpec, radius: int = 7) -> None:
     gens = standard_generating_set(spec)
     exact = conjugacy_growth_exact(spec, gens, radius)
+    bounds = conjugacy_growth_bounds(spec, radius)
     for n in range(radius + 1):
-        rep = conjugacy_growth_bounds(spec, n)
+        rep = bounds[n]
         if not rep.lower <= exact[n] <= rep.upper:
             raise StructuralError(f"sandwich bound misses exact count at n={n}")
 
@@ -157,6 +158,9 @@ def check_gcd_methods_agree() -> None:
     ):
         if gcd_sum(ball, method="direct") != gcd_sum(ball, method="sieve"):
             raise StructuralError(f"gcd sum methods disagree on {ball}")
+    for dim in (2, 4):
+        if l1_gcd_sums(dim, 30, method="direct") != l1_gcd_sums(dim, 30, method="sieve"):
+            raise StructuralError(f"l1 gcd sum sequences disagree in dim {dim} up to radius 30")
 
 
 def check_expected_gcd() -> None:

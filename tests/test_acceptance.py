@@ -92,8 +92,9 @@ def test_criterion_04_sandwich_bounds():
     for name, radius in (("H1", 8), ("H2", 6)):
         spec = named_spec(name)
         exact = conjugacy_growth_exact(spec, standard_generating_set(spec), radius)
+        bounds = conjugacy_growth_bounds(spec, radius)
         for n in range(radius + 1):
-            rep = conjugacy_growth_bounds(spec, n)
+            rep = bounds[n]
             assert rep.lower <= exact[n] <= rep.upper, (
                 f"{name} n={n}: {rep.lower} <= {exact[n]} <= {rep.upper} fails"
             )
@@ -130,16 +131,12 @@ def test_criterion_05_gcd_asymptotics():
 
 def test_criterion_06_asymptotic_dichotomy():
     h1 = named_spec("H1")
-    vals1 = [0] * 1001
-    for n in range(100, 1001):
-        vals1[n] = conjugacy_growth_bounds(h1, n).upper
+    vals1 = [rep.upper for rep in conjugacy_growth_bounds(h1, 1000)]
     m1 = select_asymptotic_model(vals1, (100, 1000))
     assert (m1.family, m1.degree) == ("poly_d_log", 2), m1
     assert m1.residual < 0.10
     h2 = named_spec("H2")
-    vals2 = [0] * 101
-    for n in range(20, 101):
-        vals2[n] = conjugacy_growth_bounds(h2, n).upper
+    vals2 = [rep.upper for rep in conjugacy_growth_bounds(h2, 100)]
     m2 = select_asymptotic_model(vals2, (20, 100))
     assert (m2.family, m2.degree) == ("poly_d", 4), m2
     assert m2.residual < 0.10
@@ -219,9 +216,7 @@ def test_criterion_10_arithmetic_core():
 def test_criterion_11_excluded_items_reported():
     # the exact leading constant is out of scope; report the numeric estimate only
     h1 = named_spec("H1")
-    vals = [0] * 1001
-    for n in range(100, 1001):
-        vals[n] = conjugacy_growth_bounds(h1, n).upper
+    vals = [rep.upper for rep in conjugacy_growth_bounds(h1, 1000)]
     model = select_asymptotic_model(vals, (100, 1000))
     assert model.family == "poly_d_log" and 0.1 < model.constant < 10
     # holonomy/transcendence are reported through the two proxies, never decided

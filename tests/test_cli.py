@@ -47,6 +47,10 @@ def test_budget_exit_code(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["ball", "--spec", "H1", "--radius", "12", "--budget", "50", "--out", str(out)]) == EXIT_BUDGET
     assert not out.exists()
+    # the totient sieve's cells go through the same budget
+    argv = ["gcdsum", "--dim", "2", "--radius", "100000", "--method", "sieve", "--budget", "10", "--out", str(out)]
+    assert main(argv) == EXIT_BUDGET
+    assert not out.exists()
 
 
 def test_usage_errors(tmp_path):
@@ -58,6 +62,20 @@ def test_usage_errors(tmp_path):
         main(["not-a-command"])
     assert main(["gcdsum", "--dim", "2", "--radius", "6", "--step", "0"]) == EXIT_USAGE
     assert main(["gcdsum", "--dim", "2", "--radius", "6", "--step", "-2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gcdsum", "--dim", "2", "--radius", "-3"],
+        ["conj", "--spec", "H1", "--radius", "-1", "--mode", "bounds"],
+    ],
+)
+def test_negative_radius_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: radius must be nonnegative"]
 
 
 def test_spec_file_loading(tmp_path):

@@ -21,6 +21,7 @@ from nilgrowth.conjugacy import (
     subgroup_domination_report,
 )
 from nilgrowth.errors import SpecError
+from nilgrowth.gcdsums import l1_gcd_sums
 from nilgrowth.groups import central_element, conjugate, make_group_spec, named_spec
 from nilgrowth.words import central_growth, enumerate_ball, standard_generating_set
 
@@ -119,32 +120,50 @@ def test_bounds_small():
     spec = named_spec("H1")
     gens = standard_generating_set(spec)
     exact = conjugacy_growth_exact(spec, gens, 8)
+    bounds = conjugacy_growth_bounds(spec, 8)
+    assert [rep.n for rep in bounds] == list(range(9))
     for n in range(9):
-        rep = conjugacy_growth_bounds(spec, n)
+        rep = bounds[n]
         assert rep.central_exact
         assert rep.lower <= exact[n] <= rep.upper
-    assert conjugacy_growth_bounds(spec, 0).as_tuple() == (1, 1)
-    assert conjugacy_growth_bounds(spec, 1).as_tuple() == (1, 5)
+    assert bounds[0].as_tuple() == (1, 1)
+    assert bounds[1].as_tuple() == (1, 5)
 
 
 def test_bounds_h2_vs_oracle():
     spec = named_spec("H2")
     gens = standard_generating_set(spec)
     oracle = conjugacy_growth_oracle(spec, gens, 5)
+    bounds = conjugacy_growth_bounds(spec, 5)
     for n in range(6):
-        rep = conjugacy_growth_bounds(spec, n)
+        rep = bounds[n]
         assert rep.lower <= oracle[n] <= rep.upper
 
 
 def test_bounds_estimate_mode():
     spec = named_spec("H1")
-    rep = conjugacy_growth_bounds(spec, 20, cache_radius=10)
+    bounds = conjugacy_growth_bounds(spec, 20, cache_radius=10)
+    rep = bounds[20]
     assert not rep.central_exact
     assert rep.lower <= rep.upper
     # the estimate window brackets the BFS-exact count at the same radius
     exact = conjugacy_growth_exact(spec, standard_generating_set(spec), 14)
-    rep14 = conjugacy_growth_bounds(spec, 14, cache_radius=10)
+    rep14 = bounds[14]
     assert rep14.lower <= exact[14] <= rep14.upper
+
+
+@pytest.mark.parametrize("name", ["H1", "H2"])
+def test_bounds_rows_match_direct_sums(name):
+    # the bounds take their gcd sums from the sieve; the direct fold is the second route
+    spec, radius, cache = named_spec(name), 40, 12
+    bounds = conjugacy_growth_bounds(spec, radius, cache_radius=cache)
+    beta = central_growth(spec, standard_generating_set(spec), cache)
+    sums = l1_gcd_sums(2 * spec.r, radius, method="direct")
+    assert len(bounds) == radius + 1
+    for n, rep in enumerate(bounds):
+        lo, hi = (beta[n], beta[n]) if n <= cache else central_ball_window(n)
+        inner = sums[n - 2] if n >= 2 else 0
+        assert (rep.n, rep.lower, rep.upper, rep.central_exact) == (n, lo + inner, hi + sums[n], n <= cache)
 
 
 def test_bounds_rejects_out_of_scope():
@@ -152,6 +171,8 @@ def test_bounds_rejects_out_of_scope():
         conjugacy_growth_bounds(named_spec("HD2"), 4)
     with pytest.raises(SpecError):
         conjugacy_growth_bounds(named_spec("ZxH1"), 4)
+    with pytest.raises(SpecError):
+        conjugacy_growth_bounds(named_spec("H1"), -1)
 
 
 def test_central_window_matches_bfs():

@@ -5,7 +5,10 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilgrowth.conjugacy import conjugacy_growth_bounds
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import (
     LatticeBallSpec,
@@ -15,9 +18,11 @@ from nilgrowth.gcdsums import (
     gcd_sum,
     gcd_sum_fit,
     l1_ball_count,
+    l1_gcd_sums,
     positive_cube_gcd_sum,
     zeta,
 )
+from nilgrowth.groups import named_spec
 
 
 def brute_gcd_sum(dim, radius, norm, offset=None):
@@ -82,14 +87,80 @@ def test_direct_equals_sieve():
         assert positive_cube_gcd_sum(dim, n, method="direct") == positive_cube_gcd_sum(dim, n, method="sieve")
 
 
+def _offsets(dim):
+    return st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(0, 30), _offsets(dim))))
+def test_direct_equals_sieve_property(case):
+    dim, radius, offset = case
+    cube = LatticeBallSpec(dim, radius, "cube", offset)
+    assert gcd_sum(cube, method="direct") == gcd_sum(cube, method="sieve")
+    assert l1_gcd_sums(dim, radius, method="direct") == l1_gcd_sums(dim, radius, method="sieve")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.integers(0, 3), st.sampled_from(["cube", "l1"]), _offsets(dim))
+    )
+)
+def test_direct_matches_bruteforce_property(case):
+    # offset l1 balls have no sieve route, so the literal loop is their second route
+    dim, radius, norm, offset = case
+    assert gcd_sum(LatticeBallSpec(dim, radius, norm, offset)) == brute_gcd_sum(dim, radius, norm, offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(0, 25), _offsets(dim))))
+def test_l1_sequence_matches_each_radius(case):
+    dim, radius, offset = case
+    sums = l1_gcd_sums(dim, radius, offset)
+    assert sums == [gcd_sum(LatticeBallSpec(dim, n, "l1", offset)) for n in range(radius + 1)]
+
+
 def test_sieve_l1_offset_unsupported():
     with pytest.raises(SpecError):
         gcd_sum(LatticeBallSpec(2, 5, "l1", (1, 0)), method="sieve")
+    with pytest.raises(SpecError):
+        l1_gcd_sums(2, 5, (1, 0), method="sieve")
 
 
 def test_gcd_sum_budget():
     with pytest.raises(BudgetError):
         gcd_sum(LatticeBallSpec(3, 100), budget=1000)
+    # l1 offsets split each axis into 2n+1 (cost, value) pairs: 101 x 101 fold cells for 5101 points
+    with pytest.raises(BudgetError) as info:
+        gcd_sum(LatticeBallSpec(2, 50, "l1", (1, 1)), budget=6000)
+    assert (info.value.needed, info.value.budget) == (101 * 101, 6000)
+    # the histogram is n + max|offset| + 1 gcd values wide
+    with pytest.raises(BudgetError) as info:
+        gcd_sum(LatticeBallSpec(1, 1, "cube", (10**6,)), budget=1000)
+    assert info.value.needed == 10**6 + 2
+    # int64 histogram counts: balls of 2^62 points or more are refused before any allocation
+    for call in (
+        lambda: gcd_sum(LatticeBallSpec(40, 1), budget=10**30),
+        lambda: l1_gcd_sums(2, 2**31, budget=10**30),
+        lambda: positive_cube_gcd_sum(3, 2**21, budget=10**30),
+    ):
+        with pytest.raises(SpecError, match="2\\^62"):
+            call()
+
+
+def test_sieve_budget():
+    with pytest.raises(BudgetError) as info:
+        gcd_sum(LatticeBallSpec(2, 100000), budget=10, method="sieve")
+    assert (info.value.needed, info.value.budget) == (100001, 10)
+    for call in (
+        lambda: gcd_sum(LatticeBallSpec(2, 50, "l1"), budget=10, method="sieve"),
+        lambda: l1_gcd_sums(2, 50, method="sieve", budget=10),
+        lambda: positive_cube_gcd_sum(3, 50, budget=10, method="sieve"),
+        lambda: conjugacy_growth_bounds(named_spec("H1"), 50, budget=10),
+    ):
+        with pytest.raises(BudgetError) as info:
+            call()
+        assert (info.value.needed, info.value.budget) == (51, 10)
 
 
 def test_offset_sandwich():
