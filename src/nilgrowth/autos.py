@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from math import gcd
+from operator import index
 
 from .errors import SpecError, StructuralError
 from .groups import (
@@ -23,7 +23,6 @@ from .groups import (
     _multiply,
     check_element,
     multiply,
-    omega_apply,
     omega_form,
     power,
     standard_generators,
@@ -42,7 +41,7 @@ from .intlinalg import (
     row_kernel_vector,
     vec_mat,
 )
-from .conjugacy import UnionFind
+from .conjugacy import UnionFind, class_lengths
 from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball
 
 
@@ -74,8 +73,8 @@ class Automorphism:
 
 
 def make_automorphism(spec: GroupSpec, m, kappa=None) -> Automorphism:
-    m = tuple(tuple(int(x) for x in row) for row in m)
-    kappa = tuple(int(x) for x in kappa) if kappa is not None else (0,) * spec.dim
+    m = tuple(tuple(index(x) for x in row) for row in m)
+    kappa = tuple(index(x) for x in kappa) if kappa is not None else (0,) * spec.dim
     if len(kappa) != spec.dim:
         raise SpecError(f"kappa must have {spec.dim} entries")
     eps = check_in_M(spec, m)
@@ -249,36 +248,20 @@ def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, se
     return report
 
 
-def twisted_modulus(spec: GroupSpec, f: Automorphism, vbar: Vector) -> int:
-    """gcd of the twisted shift set at abelianized point vbar, for M = I, eps = +1.
-
-    Conjugating twisted by x shifts the c-exponent by <xbar, Omega vbar^T + kappa>,
-    so the class modulus is the gcd of the entries of Omega vbar^T + kappa.
-    """
-    ov = omega_apply(spec, vbar)
-    g = 0
-    for a, b in zip(ov, f.kappa):
-        g = gcd(g, abs(a + b))
-    return g
-
-
 def _twisted_partition(
     spec: GroupSpec,
     gens: GeneratingSet,
     f: Automorphism,
-    n: int,
+    table: BallTable,
     conjugator_radius: int,
     budget: int | None = None,
-    table: BallTable | None = None,
-):
-    """Union-find parts of the n-ball under h -> f(x) h x^{-1}, x in the conjugator ball.
+) -> UnionFind:
+    """Union-find parts of the ball under h -> f(x) h x^{-1}, x in the conjugator ball.
 
     Conjugators are grouped by abelianization: x = lift(xbar) c^k gives
     f(x) h x^{-1} = f(lift) h lift^{-1} c^{(eps-1)k}, so only the k-set per
     xbar matters.  Images are matched against the per-fiber k-sets of the ball.
     """
-    if table is None:
-        table = enumerate_ball(spec, gens, n, budget=budget)
     conj_table = enumerate_ball(spec, gens, conjugator_radius, budget=budget)
     shifts_by_abel: dict[Vector, set[int]] = {}
     for x in conj_table.entries:
@@ -288,8 +271,6 @@ def _twisted_partition(
         fibers.setdefault(h[:-1], []).append(h[-1])
     nodes = list(table.entries)
     uf = UnionFind()
-    for h in nodes:
-        uf.add(h)
     for xbar, shift_set in shifts_by_abel.items():
         lift0 = xbar + (0,)
         flift = apply_automorphism(spec, f, lift0)
@@ -303,16 +284,7 @@ def _twisted_partition(
             for kk in fib:
                 if kk - bk in shift_set:
                     uf.union(h, base[:-1] + (kk,))
-    return table, uf
-
-
-def _partition_counts(table: BallTable, uf: UnionFind, n: int) -> list[int]:
-    part_len: dict = {}
-    for g, l in table.entries.items():
-        root = uf.find(g)
-        if part_len.get(root, l + 1) > l:
-            part_len[root] = l
-    return cumulative_counts(part_len.values(), n)
+    return uf
 
 
 @dataclass
@@ -338,10 +310,11 @@ def twisted_growth_bruteforce(
     if n < 0:
         raise SpecError("radius must be nonnegative")
     radius = conjugator_radius if conjugator_radius is not None else n + 2
-    table, uf = _twisted_partition(spec, gens, f, n, radius, budget=budget)
-    counts = _partition_counts(table, uf, n)
-    table2, uf2 = _twisted_partition(spec, gens, f, n, radius + 2, budget=budget, table=table)
-    recheck = _partition_counts(table2, uf2, n)
+    table = enumerate_ball(spec, gens, n, budget=budget)
+    uf = _twisted_partition(spec, gens, f, table, radius, budget=budget)
+    counts = cumulative_counts(uf.part_lengths(table), n)
+    uf2 = _twisted_partition(spec, gens, f, table, radius + 2, budget=budget)
+    recheck = cumulative_counts(uf2.part_lengths(table), n)
     part_of = {g: uf2.find(g) for g in table.entries}
     return TwistedGrowthResult(
         counts=recheck,
@@ -360,10 +333,10 @@ def twisted_growth_structural(
     budget: int | None = None,
     table: BallTable | None = None,
 ) -> list[int]:
-    """Exact twisted counts for M = I, eps = +1 via the shifted-gcd key.
+    """Exact twisted counts for M = I, eps = +1 via the shifted-gcd class key.
 
-    Key = (hbar, k mod twisted_modulus(hbar)); modulus 0 marks singleton fibers.
-    With kappa = 0 this is exactly the ordinary conjugacy count structure.
+    Key = (hbar, k mod class_modulus(hbar, kappa)); modulus 0 marks singleton
+    fibers.  With kappa = 0 this is exactly the ordinary conjugacy count.
     """
     if f.m != identity_matrix(spec.dim) or f.eps != 1:
         raise SpecError("structural twisted counts need M = I and eps = +1")
@@ -371,14 +344,7 @@ def twisted_growth_structural(
         if gens is None:
             raise SpecError("need gens or a precomputed ball table")
         table = enumerate_ball(spec, gens, n, budget=budget)
-    lengths: dict = {}
-    for g, l in table.entries.items():
-        vbar = g[:-1]
-        m = twisted_modulus(spec, f, vbar)
-        key = (vbar, g[-1] % m) if m else (vbar, g[-1])
-        if lengths.get(key, l + 1) > l:
-            lengths[key] = l
-    return cumulative_counts(lengths.values(), n)
+    return cumulative_counts(class_lengths(spec, table, f.kappa).values(), n)
 
 
 def classes_per_abelianized_point(result: TwistedGrowthResult) -> dict[Vector, int]:
@@ -428,11 +394,8 @@ def extension_conjugacy_growth(
     """
     if order < 1:
         raise SpecError("order must be >= 1")
-    gens_std = standard_generators(spec)
-    cur = list(gens_std)
-    for _ in range(order):
-        cur = [apply_automorphism(spec, f, x) for x in cur]
-    if any(x != g for x, g in zip(cur, gens_std)):
+    m = automorphism_order(spec, f, order)
+    if m is None or order % m:
         raise SpecError(f"automorphism does not have order dividing {order}")
     lengths = []
     for i in range(order):
@@ -442,18 +405,14 @@ def extension_conjugacy_growth(
             continue
         phi_i = automorphism_power(spec, f, i)
         radius = conjugator_radius if conjugator_radius is not None else ni + 2
-        table, uf = _twisted_partition(spec, gens, phi_i, ni, radius, budget=budget)
+        table = enumerate_ball(spec, gens, ni, budget=budget)
+        uf = _twisted_partition(spec, gens, phi_i, table, radius, budget=budget)
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
         for h in table.entries:
             fh = apply_automorphism(spec, f, h)
             if fh in table.entries:
                 uf.union(h, fh)
-        part_len: dict = {}
-        for g, l in table.entries.items():
-            root = uf.find(g)
-            if part_len.get(root, l + 1) > l:
-                part_len[root] = l
-        lengths += [ct + l for l in part_len.values()]
+        lengths += [ct + l for l in uf.part_lengths(table)]
     return cumulative_counts(lengths, n)
 
 

@@ -9,6 +9,7 @@ reproduce its counts on every computed ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -19,17 +20,18 @@ from .groups import (
     GroupSpec,
     Vector,
     abelianize,
-    central_pairing_gcd,
     check_element,
     commutator_form,
     conjugate,
     inverse,
     make_group_spec,
     multiply,
+    omega_apply,
     power,
     standard_generators,
 )
 from .words import (
+    KEY_LIMIT,
     BallTable,
     GeneratingSet,
     central_growth,
@@ -41,9 +43,22 @@ from .words import (
 )
 
 
-def class_modulus(spec: GroupSpec, v: Vector) -> int:
-    """Positive generator of {commutator_form(u, v) : u}, i.e. gcd_t(w_t i_t, w_t j_t); 0 if central."""
-    return central_pairing_gcd(spec, v)
+def class_modulus(spec: GroupSpec, v: Vector, kappa: Vector = ()) -> int:
+    """gcd of the entries of Omega v^T + kappa; 0 exactly when Omega v^T + kappa = 0.
+
+    With kappa = 0 it generates {commutator_form(u, v) : u}, the k-shifts of
+    conjugation; a shift kappa gives the twisted modulus of (I, kappa).
+    """
+    return gcd(*(x + y for x, y in zip(omega_apply(spec, v), _kappa(spec, kappa))))
+
+
+def _kappa(spec: GroupSpec, kappa: Vector) -> Vector:
+    """kappa, or the zero vector for (); one entry per non-central coordinate."""
+    if not kappa:
+        return (0,) * spec.dim
+    if len(kappa) != spec.dim:
+        raise SpecError(f"kappa must have {spec.dim} entries")
+    return tuple(kappa)
 
 
 @dataclass(frozen=True)
@@ -68,22 +83,20 @@ def class_key(spec: GroupSpec, g: Element) -> ConjClassKey:
 
 
 class UnionFind:
-    """Disjoint sets over hashable items."""
+    """Disjoint sets over hashable items, union by size with path compression.
+
+    An item never passed to union is its own singleton; parent holds non-roots only.
+    """
 
     def __init__(self):
         self.parent = {}
         self.size = {}
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
     def find(self, x):
         root = x
-        while self.parent[root] != root:
+        while root in self.parent:
             root = self.parent[root]
-        while self.parent[x] != root:
+        while x != root:
             self.parent[x], x = root, self.parent[x]
         return root
 
@@ -91,50 +104,66 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return
-        if self.size[rx] < self.size[ry]:
+        sx, sy = self.size.get(rx, 1), self.size.get(ry, 1)
+        if sx < sy:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
+        self.size[rx] = sx + sy
 
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    def part_lengths(self, table: BallTable) -> list[int]:
+        """Least word length of each part meeting the ball.
+
+        entries runs sphere by sphere, so the first length seen per root is the least.
+        """
+        first: dict = {}
+        for g, l in table.entries.items():
+            first.setdefault(self.find(g), l)
+        return list(first.values())
 
 
-def class_lengths(spec: GroupSpec, table: BallTable) -> dict[ConjClassKey, int]:
-    """Minimal word length per class key over the ball.
+def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict[ConjClassKey, int]:
+    """Minimal word length per class key (abel, k mod class_modulus(abel, kappa)) over the ball.
 
-    Runs on the sphere key arrays.  A class key packs as body * radix_k + r,
-    with r = k mod m for the class modulus m > 0 and r = k + k_bound (the k
-    digit itself) for central classes; the codec's k bound covers m, so r is
-    a valid k digit.  The first sphere that meets a class key gives its
-    minimal length.
+    kappa = () gives conjugacy classes; for the automorphism (I, kappa) the
+    same key gives twisted classes.  Runs on the sphere key arrays: a class
+    key packs as body * radix + r, with r = k mod m for the modulus m > 0 and
+    r = k + k_bound (the k digit itself) when m = 0.  The radix covers both
+    the k digit and the largest modulus over the ball, which a shift kappa
+    can push past the k digit.  The first sphere that meets a class key
+    gives its minimal length.
     """
     if table.spec != spec:
         raise SpecError("ball table was enumerated for another spec")
+    kappa = _kappa(spec, kappa)
     codec = table.codec
+    # A nonzero modulus is at most any nonzero entry of Omega v^T + kappa, bounded over the ball here.
+    reach = omega_apply(spec, tuple(codec.bounds[:-1]))
+    radix = max([codec.radix_k] + [abs(x) + abs(y) for x, y in zip(reach, kappa)])
+    bodies = codec.strides[0] * codec.radices[0] // codec.radix_k
+    if bodies * radix >= KEY_LIMIT:
+        raise SpecError(f"class keys of this ball do not fit 64-bit packed keys (radix {radix})")
     seen = np.empty(0, dtype=np.int64)
     lengths: dict[ConjClassKey, int] = {}
     for level, keys in enumerate(table.spheres):
         body, digit = np.divmod(keys, codec.radix_k)
-        m = _class_moduli(spec, codec, keys)
+        m = _class_moduli(spec, codec, keys, kappa)
         resid = np.where(m > 0, (digit - codec.k_bound) % np.maximum(m, 1), digit)
-        fresh = sorted_difference(sorted_unique(body * codec.radix_k + resid), seen)
+        fresh = sorted_difference(sorted_unique(body * radix + resid), seen)
         seen = np.sort(np.concatenate((seen, fresh)))
-        central = _class_moduli(spec, codec, fresh) == 0
-        for g, is_central in zip(codec.unpack(fresh), central.tolist()):
-            lengths[ConjClassKey(g[:-1], g[-1] if is_central else g[-1] + codec.k_bound)] = level
+        body, resid = np.divmod(fresh, radix)
+        body *= codec.radix_k
+        central = _class_moduli(spec, codec, body, kappa) == 0
+        for g, r, is_central in zip(codec.unpack(body), resid.tolist(), central.tolist()):
+            lengths[ConjClassKey(g[:-1], r - codec.k_bound if is_central else r)] = level
     return lengths
 
 
-def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray) -> np.ndarray:
-    """class_modulus of every key's abelianization: gcd_t(w_t i_t, w_t j_t), read off the i/j digits."""
-    m = np.zeros(len(keys), dtype=np.int64)
+def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray, kappa: Vector) -> np.ndarray:
+    """class_modulus(abel, kappa) of every key, read off the digits: z slots give |kappa_z|."""
+    m = np.full(len(keys), gcd(*kappa[: spec.s]), dtype=np.int64)
     for t, w in enumerate(spec.weights):
         a = spec.s + 2 * t
-        m = np.gcd(m, np.gcd(w * codec.column(keys, a), w * codec.column(keys, a + 1)))
+        m = np.gcd(m, np.gcd(w * codec.column(keys, a + 1) + kappa[a], w * codec.column(keys, a) - kappa[a + 1]))
     return m
 
 
@@ -172,18 +201,11 @@ def conjugacy_growth_oracle(
     steps = list(gens.gens) + [inverse(spec, g) for g in gens.gens]
     uf = UnionFind()
     for g in table.entries:
-        uf.add(g)
-    for g in table.entries:
         for x in steps:
             h = conjugate(spec, x, g)
             if h in table.entries:
                 uf.union(g, h)
-    part_len: dict = {}
-    for g, l in table.entries.items():
-        root = uf.find(g)
-        if part_len.get(root, l + 1) > l:
-            part_len[root] = l
-    return cumulative_counts(part_len.values(), n)
+    return cumulative_counts(uf.part_lengths(table), n)
 
 
 def central_ball_window(n: int) -> tuple[int, int]:

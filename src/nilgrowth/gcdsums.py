@@ -141,35 +141,27 @@ def _direct_sums(axes: list, rows: int, budget: int | None) -> list[int]:
     return (hist.astype(object) @ np.arange(width, dtype=object)).tolist()
 
 
-def _cube_sum_direct(ball: LatticeBallSpec, budget: int | None) -> int:
-    n = ball.radius
-    _check_points(cube_ball_count(ball.dim, n), budget)
-    return _direct_sums([_axis(-n, n, a, l1=False) for a in ball.offset], 1, budget)[0]
+def _box_sum(lo: list[int], hi: list[int], method: str, budget: int | None) -> int:
+    """Exact sum of gcd(x) over the integer box lo <= x <= hi (lo <= hi), with gcd(0) = 0.
 
-
-def _cube_sum_sieve(ball: LatticeBallSpec, budget: int | None) -> int:
-    """Totient identity over the offset box; exact."""
-    n, dim, a = ball.radius, ball.dim, ball.offset
-    lo = [-n + a[p] for p in range(dim)]
-    hi = [n + a[p] for p in range(dim)]
-    limit = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
+    sieve: sum_e phi(e) * (prod_p #multiples of e in [lo_p, hi_p], minus the
+    zero point), over every e at once in Python ints.
+    """
+    if method == "direct":
+        _check_points(math.prod(h - l + 1 for l, h in zip(lo, hi)), budget)
+        return _direct_sums([_axis(l, h, 0, l1=False) for l, h in zip(lo, hi)], 1, budget)[0]
+    if method != "sieve":
+        raise SpecError(f"unknown method {method!r}")
+    limit = max(abs(x) for x in lo + hi)
     if limit == 0:
         return 0
     phi = _totients(limit, budget)
-    zero_inside = all(l <= 0 <= h for l, h in zip(lo, hi))
-    total = 0
-    for e in range(1, limit + 1):
-        count = 1
-        for l, h in zip(lo, hi):
-            count *= h // e - -(-l // e) + 1
-            if count <= 0:
-                count = 0
-                break
-        if zero_inside:
-            count -= 1
-        if count > 0:
-            total += int(phi[e]) * count
-    return total
+    e = np.arange(1, limit + 1, dtype=np.int64)
+    counts = np.ones(limit, dtype=object)
+    for l, h in zip(lo, hi):
+        counts *= h // e - -(-l // e) + 1
+    counts -= int(all(l <= 0 <= h for l, h in zip(lo, hi)))
+    return int((phi[1:].astype(object) * counts).sum())
 
 
 def l1_gcd_sums(
@@ -209,11 +201,8 @@ def gcd_sum(ball: LatticeBallSpec, budget: int | None = None, method: str = "dir
     """Exact sum of gcd(x) over the ball, with gcd(0,...,0) = 0."""
     if ball.norm == L1:
         return l1_gcd_sums(ball.dim, ball.radius, ball.offset, method=method, budget=budget)[-1]
-    if method == "direct":
-        return _cube_sum_direct(ball, budget)
-    if method == "sieve":
-        return _cube_sum_sieve(ball, budget)
-    raise SpecError(f"unknown method {method!r}")
+    n = ball.radius
+    return _box_sum([a - n for a in ball.offset], [a + n for a in ball.offset], method, budget)
 
 
 def positive_cube_gcd_sum(dim: int, n: int, budget: int | None = None, method: str = "direct") -> int:
@@ -222,13 +211,7 @@ def positive_cube_gcd_sum(dim: int, n: int, budget: int | None = None, method: s
         raise SpecError("dim must be >= 1")
     if n < 1:
         return 0
-    if method == "sieve":
-        phi = _totients(n, budget)
-        return sum(int(phi[e]) * (n // e) ** dim for e in range(1, n + 1))
-    if method != "direct":
-        raise SpecError(f"unknown method {method!r}")
-    _check_points(n**dim, budget)
-    return _direct_sums([_axis(1, n, 0, l1=False)] * dim, 1, budget)[0]
+    return _box_sum([1] * dim, [n] * dim, method, budget)
 
 
 def expected_gcd(dim: int, n: int, budget: int | None = None, method: str = "direct") -> float:

@@ -19,7 +19,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from operator import index
 
 from .errors import SpecError
 
@@ -84,7 +84,7 @@ def make_group_spec(s: int, r: int, delta: tuple[int, ...] | list[int] = ()) -> 
 
 def spec_from_json_dict(data: dict) -> GroupSpec:
     try:
-        return make_group_spec(int(data["s"]), int(data["r"]), [int(d) for d in data["delta"]])
+        return make_group_spec(index(data["s"]), index(data["r"]), [index(d) for d in data["delta"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad group spec payload: {exc}") from exc
 
@@ -114,9 +114,9 @@ def element_to_json_dict(spec: GroupSpec, g: Element) -> dict:
 
 def element_from_json_dict(spec: GroupSpec, data: dict) -> Element:
     try:
-        z = [int(x) for x in data["z"]]
-        ab = [(int(i), int(j)) for i, j in data["ab"]]
-        k = int(data["k"])
+        z = [index(x) for x in data["z"]]
+        ab = [(index(i), index(j)) for i, j in data["ab"]]
+        k = index(data["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad element payload: {exc}") from exc
     if len(z) != spec.s or len(ab) != spec.r:
@@ -259,14 +259,3 @@ def standard_generators(spec: GroupSpec) -> tuple[Element, ...]:
         e[pos] = 1
         gens.append(tuple(e))
     return tuple(gens)
-
-
-def central_pairing_gcd(spec: GroupSpec, v: Vector) -> int:
-    """gcd of the entries of Omega v^T, i.e. gcd_t(w_t i_t, w_t j_t); 0 when v kills the form."""
-    if len(v) != spec.dim:
-        raise SpecError(f"vector must have {spec.dim} coordinates")
-    s = spec.s
-    g = 0
-    for t, w in enumerate(spec.weights):
-        g = gcd(g, gcd(abs(w * v[s + 2 * t]), abs(w * v[s + 2 * t + 1])))
-    return g

@@ -206,9 +206,6 @@ class BallTable:
             out.update(dict.fromkeys(self.codec.unpack(keys), level))
         return out
 
-    def sphere(self, length: int) -> list[Element]:
-        return self.codec.unpack(self.spheres[length]) if 0 <= length <= self.radius else []
-
 
 def enumerate_ball(
     spec: GroupSpec,

@@ -22,10 +22,9 @@ from nilgrowth.autos import (
     swap_automorphism,
     twisted_growth_bruteforce,
     twisted_growth_structural,
-    twisted_modulus,
     verify_automorphism,
 )
-from nilgrowth.conjugacy import conjugacy_growth_exact
+from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact
 from nilgrowth.errors import SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 from nilgrowth.groups import abelianize, multiply, named_spec, standard_generators
@@ -173,11 +172,11 @@ def test_structural_rejects_nonidentity_matrix():
 
 def test_twisted_modulus():
     fk = make_automorphism(H1, identity_matrix(2), (1, 0))
-    assert twisted_modulus(H1, fk, (0, 0)) == 1
-    assert twisted_modulus(H1, fk, (2, 4)) == 1  # (4+1, -2)
+    assert class_modulus(H1, (0, 0), fk.kappa) == 1
+    assert class_modulus(H1, (2, 4), fk.kappa) == 1  # (4+1, -2)
     f0 = identity_automorphism(H1)
-    assert twisted_modulus(H1, f0, (2, 4)) == 2
-    assert twisted_modulus(H1, f0, (0, 0)) == 0
+    assert class_modulus(H1, (2, 4), f0.kappa) == 2
+    assert class_modulus(H1, (0, 0), f0.kappa) == 0
 
 
 def test_twisted_modulus_offset_sum_equals_shifted_gcd_sum():
@@ -186,7 +185,7 @@ def test_twisted_modulus_offset_sum_equals_shifted_gcd_sum():
     fk = make_automorphism(H1, identity_matrix(2), (3, -5))
     n = 15
     total = sum(
-        twisted_modulus(H1, fk, (i, j)) for i in range(-n, n + 1) for j in range(-n, n + 1)
+        class_modulus(H1, (i, j), fk.kappa) for i in range(-n, n + 1) for j in range(-n, n + 1)
     )
     # Omega(i,j) = (j,-i); as (i,j) runs over the cube so does (j,-i)
     shifted = gcd_sum(LatticeBallSpec(dim=2, radius=n, norm="cube", offset=(3, -5)))

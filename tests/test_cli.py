@@ -89,6 +89,22 @@ def test_spec_file_loading(tmp_path):
         load_spec(str(bad))
 
 
+@pytest.mark.parametrize("payload", [{"s": 1.9, "r": 1, "delta": []}, {"s": "1", "r": 1, "delta": []}])
+def test_non_integral_spec_is_a_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    assert main(["ball", "--spec", str(path), "--radius", "2"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("payload", [{"M": [[1.7, 0], [0, 1]]}, {"M": [[1, 0], [0, 1]], "kappa": [0.5, "0"]}])
+def test_non_integral_automorphism_is_a_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(payload))
+    assert main(["twisted", "--spec", "H1", "--radius", "2", "--auto", str(path)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
 def test_stdout_table(capsys):
     assert main(["growth", "--spec", "H1", "--radius", "3"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

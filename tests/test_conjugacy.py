@@ -4,7 +4,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nilgrowth.autos import make_automorphism, twisted_growth_bruteforce
 from nilgrowth.conjugacy import (
     ConjClassKey,
     central_ball_window,
@@ -23,7 +26,8 @@ from nilgrowth.conjugacy import (
 from nilgrowth.errors import SpecError
 from nilgrowth.gcdsums import l1_gcd_sums
 from nilgrowth.groups import central_element, conjugate, make_group_spec, named_spec
-from nilgrowth.words import central_growth, enumerate_ball, standard_generating_set
+from nilgrowth.intlinalg import identity_matrix
+from nilgrowth.words import central_growth, cumulative_counts, enumerate_ball, standard_generating_set
 
 
 def test_class_modulus_examples():
@@ -32,10 +36,20 @@ def test_class_modulus_examples():
     assert class_modulus(h1, (0, 0)) == 0
     hd2 = named_spec("HD2")
     assert class_modulus(hd2, (0, 0, 1, 0)) == 2
+    assert class_modulus(hd2, (2, 4, 0, 0)) == 2
+    assert class_modulus(hd2, (0, 0, 0, 0)) == 0
+    assert class_modulus(hd2, (3, 0, 1, 0)) == 1
     zxh1 = named_spec("ZxH1")
     # z-coordinates contribute nothing
     assert class_modulus(zxh1, (7, 2, 4)) == 2
     assert class_modulus(zxh1, (7, 0, 0)) == 0
+    # with a shift, a z slot contributes |kappa_z|
+    assert class_modulus(zxh1, (7, 0, 0), (6, 0, 0)) == 6
+    assert class_modulus(zxh1, (7, 2, 4), (3, 0, 0)) == 1
+    # r = 0: the form vanishes
+    assert class_modulus(make_group_spec(2, 0), (5, 7)) == 0
+    with pytest.raises(SpecError):
+        class_modulus(h1, (1, 0), (1, 0, 0))
 
 
 def test_class_modulus_is_orbit_gcd_bruteforce():
@@ -48,6 +62,62 @@ def test_class_modulus_is_orbit_gcd_bruteforce():
         shifts.add(conjugate(spec, x, g)[-1])
     nonzero = sorted(abs(v) for v in shifts if v)
     assert nonzero[0] == class_modulus(spec, (0, 0, 1, 0)) == 2
+
+
+def _twisted_key(spec, g, kappa):
+    m = class_modulus(spec, g[:-1], kappa)
+    return ConjClassKey(g[:-1], g[-1] % m if m else g[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["H1", "ZxH1", "HD2"]), st.integers(0, 3), st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+# The modulus gcd(-10, -2) = 10 at abel (-1, 0) passes the k digit (radix 5) of the radius-2 ball.
+@example("H1", 2, [-10, -1, 0, 0])
+@example("ZxH1", 3, [-6, 4, 9, 0])
+def test_class_lengths_with_kappa_match_elementwise_keys(name, radius, kappa):
+    spec = named_spec(name)
+    radius = min(radius, 2) if name == "HD2" else radius
+    kappa = tuple(kappa[: spec.dim])
+    gens = standard_generating_set(spec)
+    table = enumerate_ball(spec, gens, radius)
+    lengths = class_lengths(spec, table, kappa)
+    reference = {}
+    for g, l in table.entries.items():
+        reference.setdefault(_twisted_key(spec, g, kappa), l)
+    assert lengths == reference
+    # The brute force merges only through its conjugator ball, so its parts always refine the keys
+    # and it can only count more.  On H1 a ball of radius radius + max|kappa| closes every key
+    # (checked for all kappa in [-12, 12]^2 and radius <= 3); larger groups keep the default ball.
+    counts = cumulative_counts(lengths.values(), radius)
+    f = make_automorphism(spec, identity_matrix(spec.dim), kappa)
+    wide = radius + max(map(abs, kappa)) if name == "H1" else None
+    brute = twisted_growth_bruteforce(spec, gens, f, radius, conjugator_radius=wide)
+    keys_per_part = {}
+    for g, root in brute.part_of.items():
+        keys_per_part.setdefault(root, set()).add(_twisted_key(spec, g, kappa))
+    assert all(len(keys) == 1 for keys in keys_per_part.values())
+    assert all(c <= b for c, b in zip(counts, brute.counts))
+    if wide is not None:
+        assert counts == brute.counts
+
+
+def test_class_lengths_residue_past_the_k_digit():
+    spec = named_spec("H1")
+    gens = standard_generating_set(spec)
+    table = enumerate_ball(spec, gens, 2)
+    assert table.codec.radix_k == 5
+    lengths = class_lengths(spec, table, (-10, -1))
+    assert len(lengths) == 15
+    f = make_automorphism(spec, identity_matrix(2), (-10, -1))
+    assert twisted_growth_bruteforce(spec, gens, f, 2).counts == cumulative_counts(lengths.values(), 2) == [1, 5, 15]
+    # a z slot counts with |kappa_z| alone, and equals the brute force on ZxH1
+    zxh1 = named_spec("ZxH1")
+    gens = standard_generating_set(zxh1)
+    f = make_automorphism(zxh1, identity_matrix(3), (2, 0, 1))
+    counts = cumulative_counts(class_lengths(zxh1, enumerate_ball(zxh1, gens, 3), f.kappa).values(), 3)
+    assert counts == twisted_growth_bruteforce(zxh1, gens, f, 3).counts
+    with pytest.raises(SpecError, match="64-bit"):
+        class_lengths(spec, table, (2**61, 0))
 
 
 def test_class_key_examples():

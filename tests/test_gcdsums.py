@@ -85,6 +85,8 @@ def test_direct_equals_sieve():
         assert gcd_sum(ball, method="direct") == gcd_sum(ball, method="sieve")
     for dim, n in [(2, 200), (3, 40)]:
         assert positive_cube_gcd_sum(dim, n, method="direct") == positive_cube_gcd_sum(dim, n, method="sieve")
+    # the sieve's box counts pass int64 here: every point of {-1, 0, 1}^40 but 0 has gcd 1
+    assert gcd_sum(LatticeBallSpec(40, 1), method="sieve") == 3**40 - 1
 
 
 def _offsets(dim):

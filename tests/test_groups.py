@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilgrowth.conjugacy import class_key, class_modulus
 from nilgrowth.errors import SpecError
 from nilgrowth.groups import (
     abelianize,
     canonical_lift,
     central_element,
-    central_pairing_gcd,
     check_element,
     commutator,
     commutator_form,
@@ -243,13 +246,41 @@ def test_omega_form_matrix():
 
 
 def test_central_pairing_gcd():
+    # the central pairing gcd is class_modulus with no shift
     spec = named_spec("HD2")
-    assert central_pairing_gcd(spec, (0, 0, 1, 0)) == 2
-    assert central_pairing_gcd(spec, (2, 4, 0, 0)) == 2
-    assert central_pairing_gcd(spec, (0, 0, 0, 0)) == 0
-    assert central_pairing_gcd(spec, (3, 0, 1, 0)) == 1
+    assert class_modulus(spec, (0, 0, 1, 0)) == 2
+    assert class_modulus(spec, (2, 4, 0, 0)) == 2
+    assert class_modulus(spec, (0, 0, 0, 0)) == 0
+    assert class_modulus(spec, (3, 0, 1, 0)) == 1
     zspec = make_group_spec(2, 0)
-    assert central_pairing_gcd(zspec, (5, 7)) == 0
+    assert class_modulus(zspec, (5, 7)) == 0
+    # it is the gcd of the pairings commutator_form(e_i, v) over the basis
+    basis = [tuple(int(i == j) for j in range(spec.dim)) for i in range(spec.dim)]
+    for v in [(0, 0, 1, 0), (2, 4, 0, 0), (3, 0, 1, 0), (6, -4, 2, 8)]:
+        assert class_modulus(spec, v) == gcd(*(commutator_form(spec, e, v) for e in basis))
+
+
+@st.composite
+def _specs(draw):
+    """A valid (s, r, D): s + r > 0 and each delta divides the next."""
+    r = draw(st.integers(0, 3))
+    s = draw(st.integers(0 if r else 1, 2))
+    delta = []
+    for _ in range(max(r - 1, 0)):
+        delta.append((delta[-1] if delta else 1) * draw(st.integers(1, 3)))
+    return make_group_spec(s, r, delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs(), st.data())
+def test_group_law_on_random_specs(spec, data):
+    element = st.tuples(*[st.integers(-20, 20)] * spec.ncoords)
+    g, h, x = (data.draw(element) for _ in range(3))
+    a, b = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    assert multiply(spec, multiply(spec, g, h), x) == multiply(spec, g, multiply(spec, h, x))
+    assert multiply(spec, g, inverse(spec, g)) == spec.identity()
+    assert power(spec, g, a + b) == multiply(spec, power(spec, g, a), power(spec, g, b))
+    assert class_key(spec, conjugate(spec, x, g)) == class_key(spec, g)
 
 
 def test_standard_generators():
@@ -271,3 +302,7 @@ def test_element_json_roundtrip():
     assert element_from_json_dict(zspec, element_to_json_dict(zspec, h)) == h
     with pytest.raises(SpecError):
         element_from_json_dict(spec, {"z": [1], "ab": [], "k": 0})
+    # non-integral numbers are refused, not truncated
+    for bad in ({"z": [], "ab": [[2, -1], [0, 5]], "k": 1.5}, {"z": [], "ab": [[2.0, -1], [0, 5]], "k": 1}):
+        with pytest.raises(SpecError):
+            element_from_json_dict(spec, bad)
