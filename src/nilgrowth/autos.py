@@ -14,17 +14,24 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import index
 
-from .errors import SpecError, StructuralError
+import numpy as np
+
+from .errors import BudgetError, SpecError, StructuralError
 from .groups import (
     Element,
     GroupSpec,
     Vector,
     _inverse,
     _multiply,
+    array_dtype,
     check_element,
-    multiply,
+    element_bound,
+    inverse_array,
+    multiply_array,
     omega_form,
     power,
+    power_array,
+    product_bound,
     standard_generators,
 )
 from .intlinalg import (
@@ -41,8 +48,11 @@ from .intlinalg import (
     row_kernel_vector,
     vec_mat,
 )
-from .conjugacy import UnionFind, class_lengths
-from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball
+from .conjugacy import class_lengths, merge_images, new_labels, part_lengths
+from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, resolve_budget, sorted_unique
+
+# Rows of one block of the (conjugator pair x ball) product in the twisted brute force.
+ROW_BLOCK = 4096
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -118,6 +128,27 @@ def apply_automorphism(spec: GroupSpec, f: Automorphism, g: Element) -> Element:
     if g[-1]:
         acc = acc[:-1] + (acc[-1] + f.eps * g[-1],)
     return acc
+
+
+def apply_automorphism_array(spec: GroupSpec, f: Automorphism, g: np.ndarray) -> np.ndarray:
+    """Row-wise f(g) over (..., ncoords) coordinate arrays; the normal-form product of apply_automorphism."""
+    images = np.array(f.images, dtype=g.dtype)
+    acc = np.zeros_like(g)
+    for p in range(spec.dim):
+        acc = multiply_array(spec, acc, power_array(spec, images[p], g[..., p]))
+    acc[..., -1] += f.eps * g[..., -1]
+    return acc
+
+
+def _image_bound(spec: GroupSpec, f: Automorphism, x: tuple[int, int]) -> tuple[int, int]:
+    """Bounds (off k, on k) on the coordinates of f(g), given those of g (see product_bound)."""
+    e, kappa = element_bound(f.images)
+    # image_p^m with |m| <= x[0]: |m| e off k; |m kappa_p - C(m, 2) q_p| with |q_p| <= sum(w) e^2 on k
+    step = (x[0] * e, x[0] * kappa + x[0] * x[0] * (sum(spec.weights) * e * e + 1))
+    acc = (0, 0)
+    for _ in range(spec.dim):
+        acc = product_bound(spec, acc, step)
+    return acc[0], acc[1] + x[1]
 
 
 def gamma_sample(spec: GroupSpec, f: Automorphism, v: Vector) -> int:
@@ -198,15 +229,15 @@ class VerifyReport:
 def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, seed: int = 0) -> VerifyReport:
     """Homomorphism fuzz, inverse round-trip, f(c) = c^eps, relator preservation."""
     rng = random.Random(seed)
-    hom_ok = True
-    for _ in range(trials):
-        g = tuple(rng.randint(-9, 9) for _ in range(spec.ncoords))
-        h = tuple(rng.randint(-9, 9) for _ in range(spec.ncoords))
-        if apply_automorphism(spec, f, multiply(spec, g, h)) != multiply(
-            spec, apply_automorphism(spec, f, g), apply_automorphism(spec, f, h)
-        ):
-            hom_ok = False
-            break
+    # Trial t draws g, then h, coordinate by coordinate: rows 2t and 2t + 1.
+    draws = [rng.randint(-9, 9) for _ in range(2 * trials * spec.ncoords)]
+    image = _image_bound(spec, f, (9, 9))
+    dtype = array_dtype(_image_bound(spec, f, product_bound(spec, (9, 9), (9, 9))), product_bound(spec, image, image))
+    pairs = np.array(draws, dtype=dtype).reshape(trials, 2, spec.ncoords)
+    g, h = pairs[:, 0], pairs[:, 1]
+    lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))
+    rhs = multiply_array(spec, apply_automorphism_array(spec, f, g), apply_automorphism_array(spec, f, h))
+    hom_ok = bool((lhs == rhs).all())
     finv = inverse_automorphism(spec, f)
     gens = standard_generators(spec)
     inverse_ok = all(
@@ -255,36 +286,47 @@ def _twisted_partition(
     table: BallTable,
     conjugator_radius: int,
     budget: int | None = None,
-) -> UnionFind:
-    """Union-find parts of the ball under h -> f(x) h x^{-1}, x in the conjugator ball.
+) -> np.ndarray:
+    """Root-pointer labels (see merge_parts) of the ball's parts under h -> f(x) h x^{-1}, x in the conjugator ball.
 
-    Conjugators are grouped by abelianization: x = lift(xbar) c^k gives
-    f(x) h x^{-1} = f(lift) h lift^{-1} c^{(eps-1)k}, so only the k-set per
-    xbar matters.  Images are matched against the per-fiber k-sets of the ball.
+    x = lift(xbar) c^k gives f(x) h x^{-1} = f(lift) h lift^{-1} c^{(eps-1)k}, so
+    only the distinct (xbar, (eps-1)k) pairs matter: one per xbar when eps = +1,
+    where the k digit of every conjugator key is zeroed before deduping.  The
+    ball and the conjugator ball are charged against one budget.
     """
-    conj_table = enumerate_ball(spec, gens, conjugator_radius, budget=budget)
-    shifts_by_abel: dict[Vector, set[int]] = {}
-    for x in conj_table.entries:
-        shifts_by_abel.setdefault(x[:-1], set()).add((f.eps - 1) * x[-1])
-    fibers: dict[Vector, list[int]] = {}
-    for h in table.entries:
-        fibers.setdefault(h[:-1], []).append(h[-1])
-    nodes = list(table.entries)
-    uf = UnionFind()
-    for xbar, shift_set in shifts_by_abel.items():
-        lift0 = xbar + (0,)
-        flift = apply_automorphism(spec, f, lift0)
-        linv = _inverse(spec, lift0)
-        for h in nodes:
-            base = _multiply(spec, _multiply(spec, flift, h), linv)
-            fib = fibers.get(base[:-1])
-            if fib is None:
-                continue
-            bk = base[-1]
-            for kk in fib:
-                if kk - bk in shift_set:
-                    uf.union(h, base[:-1] + (kk,))
-    return uf
+    cap = resolve_budget(budget)
+    try:
+        conj = enumerate_ball(spec, gens, conjugator_radius, budget=cap - len(table.keys))
+    except BudgetError as exc:
+        raise BudgetError(
+            f"the radius-{table.radius} ball and the radius-{conjugator_radius} conjugator ball "
+            f"need more than {cap} stored elements",
+            needed=len(table.keys) + exc.needed,
+            budget=cap,
+        ) from None
+    codec = conj.codec
+    keys = conj.keys
+    if f.eps == 1:
+        keys = sorted_unique(keys - (keys % codec.radix_k - codec.k_bound))
+    reach = codec.reach
+    bound = product_bound(spec, _image_bound(spec, f, reach), table.codec.reach)
+    # times lift^-1, then c^((eps - 1) k)
+    bound = product_bound(spec, product_bound(spec, bound, product_bound(spec, reach, reach)), (0, 2 * reach[1]))
+    dtype = array_dtype(bound)
+    lifts = codec.coords(keys).astype(dtype)
+    shifts = (f.eps - 1) * lifts[:, -1]
+    lifts[:, -1] = 0
+    flifts = apply_automorphism_array(spec, f, lifts)[:, None]
+    linvs = inverse_array(spec, lifts)[:, None]
+    coords = table.coords.astype(dtype, copy=False)
+    label = new_labels(len(coords))
+    block = max(1, ROW_BLOCK // len(coords))
+    for lo in range(0, len(lifts), block):
+        part = slice(lo, lo + block)
+        image = multiply_array(spec, multiply_array(spec, flifts[part], coords), linvs[part])
+        image[..., -1] += shifts[part, None]
+        merge_images(label, table.index(image))
+    return label
 
 
 @dataclass
@@ -311,11 +353,12 @@ def twisted_growth_bruteforce(
         raise SpecError("radius must be nonnegative")
     radius = conjugator_radius if conjugator_radius is not None else n + 2
     table = enumerate_ball(spec, gens, n, budget=budget)
-    uf = _twisted_partition(spec, gens, f, table, radius, budget=budget)
-    counts = cumulative_counts(uf.part_lengths(table), n)
-    uf2 = _twisted_partition(spec, gens, f, table, radius + 2, budget=budget)
-    recheck = cumulative_counts(uf2.part_lengths(table), n)
-    part_of = {g: uf2.find(g) for g in table.entries}
+    label = _twisted_partition(spec, gens, f, table, radius, budget=budget)
+    counts = cumulative_counts(part_lengths(label, table.lengths), n)
+    label = _twisted_partition(spec, gens, f, table, radius + 2, budget=budget)
+    recheck = cumulative_counts(part_lengths(label, table.lengths), n)
+    elements = table.codec.unpack(table.keys)
+    part_of = dict(zip(elements, [elements[root] for root in label.tolist()]))
     return TwistedGrowthResult(
         counts=recheck,
         stable=counts == recheck,
@@ -406,13 +449,11 @@ def extension_conjugacy_growth(
         phi_i = automorphism_power(spec, f, i)
         radius = conjugator_radius if conjugator_radius is not None else ni + 2
         table = enumerate_ball(spec, gens, ni, budget=budget)
-        uf = _twisted_partition(spec, gens, phi_i, table, radius, budget=budget)
+        label = _twisted_partition(spec, gens, phi_i, table, radius, budget=budget)
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
-        for h in table.entries:
-            fh = apply_automorphism(spec, f, h)
-            if fh in table.entries:
-                uf.union(h, fh)
-        lengths += [ct + l for l in uf.part_lengths(table)]
+        dtype = array_dtype(_image_bound(spec, f, table.codec.reach))
+        merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords.astype(dtype, copy=False))))
+        lengths += [ct + l for l in part_lengths(label, table.lengths)]
     return cumulative_counts(lengths, n)
 
 

@@ -20,20 +20,24 @@ from .groups import (
     GroupSpec,
     Vector,
     abelianize,
+    array_dtype,
     check_element,
-    commutator_form,
-    conjugate,
+    element_bound,
     inverse,
+    inverse_array,
     make_group_spec,
     multiply,
+    multiply_array,
     omega_apply,
     power,
+    product_bound,
     standard_generators,
 )
 from .words import (
     KEY_LIMIT,
     BallTable,
     GeneratingSet,
+    _step_set,
     central_growth,
     cumulative_counts,
     enumerate_ball,
@@ -82,43 +86,44 @@ def class_key(spec: GroupSpec, g: Element) -> ConjClassKey:
     return ConjClassKey(v, g[-1] % m)
 
 
-class UnionFind:
-    """Disjoint sets over hashable items, union by size with path compression.
+def new_labels(size: int) -> np.ndarray:
+    """Root pointers of size singleton parts: label[i] = i, int32 while it fits."""
+    return np.arange(size, dtype=np.int32 if size < 2**31 else np.int64)
 
-    An item never passed to union is its own singleton; parent holds non-roots only.
+
+def merge_parts(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Merge the parts of u[i] and v[i] for every i, in place.
+
+    label is a root-pointer array, fully compressed on entry and on return:
+    label[i] is the root of i's part, and every root is its part's least
+    index.  Each round hooks the larger root of every edge still cut onto
+    the least root it meets, then pointer-jumps until every label is a root.
     """
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-
-    def find(self, x):
-        root = x
-        while root in self.parent:
-            root = self.parent[root]
-        while x != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+    while True:
+        ru, rv = label[u], label[v]
+        cut = ru != rv
+        if not cut.any():
             return
-        sx, sy = self.size.get(rx, 1), self.size.get(ry, 1)
-        if sx < sy:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] = sx + sy
+        u, v, ru, rv = u[cut], v[cut], ru[cut], rv[cut]
+        np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label[:] = jumped
 
-    def part_lengths(self, table: BallTable) -> list[int]:
-        """Least word length of each part meeting the ball.
 
-        entries runs sphere by sphere, so the first length seen per root is the least.
-        """
-        first: dict = {}
-        for g, l in table.entries.items():
-            first.setdefault(self.find(g), l)
-        return list(first.values())
+def merge_images(label: np.ndarray, image: np.ndarray) -> None:
+    """Merge the part of each index i < image.shape[-1] with that of image[..., i], where that is not -1."""
+    hit = image >= 0
+    merge_parts(label, np.broadcast_to(np.arange(image.shape[-1]), image.shape)[hit], image[hit])
+
+
+def part_lengths(label: np.ndarray, lengths: np.ndarray) -> list[int]:
+    """The least length in each part of a compressed root-pointer array."""
+    least = lengths.copy()
+    np.minimum.at(least, label, lengths)
+    return least[label == np.arange(len(label))].tolist()
 
 
 def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict[ConjClassKey, int]:
@@ -198,14 +203,17 @@ def conjugacy_growth_oracle(
     if n > guard:
         raise SpecError(f"oracle guarded at radius {guard}; asked for {n}")
     table = enumerate_ball(spec, gens, n + 2, budget=budget)
-    steps = list(gens.gens) + [inverse(spec, g) for g in gens.gens]
-    uf = UnionFind()
-    for g in table.entries:
-        for x in steps:
-            h = conjugate(spec, x, g)
-            if h in table.entries:
-                uf.union(g, h)
-    return cumulative_counts(uf.part_lengths(table), n)
+    steps = _step_set(spec, gens)
+    reach = element_bound(steps)
+    dtype = array_dtype(
+        product_bound(spec, product_bound(spec, reach, table.codec.reach), product_bound(spec, reach, reach))
+    )
+    coords = table.coords.astype(dtype, copy=False)
+    label = new_labels(len(coords))
+    for x in steps:
+        x = np.array(x, dtype=dtype)
+        merge_images(label, table.index(multiply_array(spec, multiply_array(spec, x, coords), inverse_array(spec, x))))
+    return cumulative_counts(part_lengths(label, table.lengths), n)
 
 
 def central_ball_window(n: int) -> tuple[int, int]:

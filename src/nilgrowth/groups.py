@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import index
 
+import numpy as np
+
 from .errors import SpecError
 
 Element = tuple[int, ...]
@@ -176,6 +178,50 @@ def power(spec: GroupSpec, g: Element, m: int) -> Element:
     out = [m * x for x in g]
     out[-1] = m * g[-1] - (m * (m - 1) // 2) * q
     return tuple(out)
+
+
+def multiply_array(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row-wise g h over (..., ncoords) coordinate arrays, broadcast; the formula of multiply."""
+    s = spec.s
+    out = g + h
+    for t, w in enumerate(spec.weights):
+        out[..., -1] -= w * g[..., s + 2 * t + 1] * h[..., s + 2 * t]
+    return out
+
+
+def inverse_array(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
+    """Row-wise g^-1 over (..., ncoords) coordinate arrays; the formula of inverse."""
+    s = spec.s
+    out = -g
+    for t, w in enumerate(spec.weights):
+        out[..., -1] -= w * g[..., s + 2 * t] * g[..., s + 2 * t + 1]
+    return out
+
+
+def power_array(spec: GroupSpec, g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise g^m over (..., ncoords) coordinate arrays and exponent arrays m, broadcast; the formula of power."""
+    s = spec.s
+    m = np.asarray(m, dtype=g.dtype)
+    q = sum(w * g[..., s + 2 * t] * g[..., s + 2 * t + 1] for t, w in enumerate(spec.weights))
+    out = m[..., None] * g
+    out[..., -1] = m * g[..., -1] - (m * (m - 1) // 2) * q
+    return out
+
+
+def product_bound(spec: GroupSpec, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Bounds (off k, on k) on the coordinates of g h, given those of g and h; with y = x it also bounds g^-1."""
+    return x[0] + y[0], x[1] + y[1] + sum(spec.weights) * x[0] * y[0]
+
+
+def array_dtype(*bounds: tuple[int, int]):
+    """int64 while every coordinate bound stays below 2^62, else object arrays of exact Python ints."""
+    return np.int64 if max(max(b) for b in bounds) < 2**62 else object
+
+
+def element_bound(rows) -> tuple[int, int]:
+    """Bounds (off k, on k) on the coordinates of the given elements or coordinate rows."""
+    rows = list(rows)
+    return max(abs(x) for g in rows for x in g[:-1]), max(abs(g[-1]) for g in rows)
 
 
 def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:

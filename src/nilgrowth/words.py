@@ -110,6 +110,8 @@ class KeyCodec:
                 f"(radix product {self.strides[0] * self.radices[0]} >= 2^62)"
             )
         self.k_bound = k_bound
+        # (off k, on k) bounds on every coordinate of the ball, as groups.product_bound takes them
+        self.reach = (max(body, default=0), k_bound)
         self.radix_k = self.radices[-1]
         self.identity = sum(b * stride for b, stride in zip(self.bounds, self.strides))
         self.deltas = np.array([self._offset(x) for x in steps], dtype=np.int64)
@@ -127,14 +129,28 @@ class KeyCodec:
     def _offset(self, g: Element) -> int:
         return sum(x * stride for x, stride in zip(g, self.strides))
 
+    def pack_rows(self, coords: np.ndarray) -> np.ndarray:
+        """The key of every (..., ncoords) coordinate row, or -1 for a row outside the coordinate bounds.
+
+        The bounds are checked before packing, so a row far outside cannot wrap into a valid key.
+        """
+        inside = (np.abs(coords) <= self.bounds).all(axis=-1)
+        keys = np.full(inside.shape, -1, dtype=np.int64)
+        keys[inside] = self.identity + coords[inside].astype(np.int64) @ np.array(self.strides, dtype=np.int64)
+        return keys
+
     def column(self, keys: np.ndarray, p: int) -> np.ndarray:
         """Coordinate p of every key."""
         return keys // self.strides[p] % self.radices[p] - self.bounds[p]
 
+    def coords(self, keys: np.ndarray) -> np.ndarray:
+        """The (len(keys), ncoords) coordinate rows of the keys."""
+        digits = keys[:, None] // np.array(self.strides, dtype=np.int64) % np.array(self.radices, dtype=np.int64)
+        return digits - np.array(self.bounds, dtype=np.int64)
+
     def unpack(self, keys: np.ndarray) -> list[Element]:
         """Coordinate tuples, in key order."""
-        coords = keys[:, None] // np.array(self.strides, dtype=np.int64) % np.array(self.radices, dtype=np.int64)
-        return list(map(tuple, (coords - np.array(self.bounds, dtype=np.int64)).tolist()))
+        return list(map(tuple, self.coords(keys).tolist()))
 
     def expand(self, keys: np.ndarray) -> np.ndarray:
         """Keys of every one-step product g*x, g in keys, x in the step set (with repeats)."""
@@ -201,10 +217,34 @@ class BallTable:
     @cached_property
     def entries(self) -> dict[Element, int]:
         """Element -> word length, sphere by sphere and lexicographic within a sphere."""
-        out: dict[Element, int] = {}
-        for level, keys in enumerate(self.spheres):
-            out.update(dict.fromkeys(self.codec.unpack(keys), level))
-        return out
+        return dict(zip(self.codec.unpack(self.keys), self.lengths.tolist()))
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Every key of the ball in the order of entries: sphere by sphere, sorted within a sphere."""
+        return np.concatenate(self.spheres)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The coordinate rows of keys."""
+        return self.codec.coords(self.keys)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The word length of every row of keys."""
+        return np.repeat(np.arange(len(self.spheres)), self.sphere_sizes)
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.keys)
+        return self.keys[order], order
+
+    def index(self, coords: np.ndarray) -> np.ndarray:
+        """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
+        keys = self.codec.pack_rows(coords)
+        ordered, order = self._sorted
+        pos = np.searchsorted(ordered, keys).clip(max=len(ordered) - 1)
+        return np.where(ordered[pos] == keys, order[pos], -1)
 
 
 def enumerate_ball(

@@ -1,11 +1,15 @@
 """Tests for automorphisms, twisted conjugacy, extensions, and integer linear algebra."""
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilgrowth.autos import (
     Automorphism,
     apply_automorphism,
+    apply_automorphism_array,
     automorphism_from_json_dict,
     automorphism_order,
     automorphism_power,
@@ -25,7 +29,7 @@ from nilgrowth.autos import (
     verify_automorphism,
 )
 from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact
-from nilgrowth.errors import SpecError, StructuralError
+from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 from nilgrowth.groups import abelianize, multiply, named_spec, standard_generators
 from nilgrowth.intlinalg import (
@@ -96,6 +100,8 @@ def test_verify_battery():
         (HD2, swap_automorphism(HD2)),
         (HD2, identity_automorphism(HD2)),
         (named_spec("H2"), swap_automorphism(named_spec("H2"))),
+        # images past int64: the fuzz runs on exact Python ints
+        (H1, make_automorphism(H1, ((1, 2**40), (0, 1)), (2**70, -1))),
     ]
     for spec, f in cases:
         assert verify_automorphism(spec, f, trials=200).ok
@@ -106,6 +112,40 @@ def test_verify_rejects_broken():
     bad = Automorphism(m=((1, 0), (0, 1)), kappa=(0, 0), eps=-1, images=((1, 0, 0), (0, 1, 0)))
     with pytest.raises(StructuralError):
         verify_automorphism(H1, bad, trials=10)
+    # b -> b^-1 with c -> c is no homomorphism: the fuzz fails
+    flip = Automorphism(m=((1, 0), (0, -1)), kappa=(0, 0), eps=1, images=((1, 0, 0), (0, -1, 0)))
+    with pytest.raises(StructuralError, match="homomorphism_ok=False"):
+        verify_automorphism(H1, flip, trials=10)
+
+
+def _matrix(spec, kind):
+    """identity, -I, swap (a_t <-> b_t) or shear (a_t -> a_t b_t) on every pair, identity on the z slots."""
+    m = [[int(p == q) * (-1 if kind == "-I" else 1) for q in range(spec.dim)] for p in range(spec.dim)]
+    for t in range(spec.r):
+        a = spec.s + 2 * t
+        if kind == "swap":
+            m[a][a], m[a][a + 1], m[a + 1][a], m[a + 1][a + 1] = 0, 1, 1, 0
+        elif kind == "shear":
+            m[a][a + 1] = 1
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["H1", "H2", "H3", "ZxH1", "HD2"]),
+    st.sampled_from(["identity", "-I", "swap", "shear"]),
+    st.booleans(),
+    st.data(),
+)
+def test_apply_array_matches_tuple_law(name, kind, big, data):
+    spec = named_spec(name)
+    # big shifts pass int64, so the arrays hold exact Python ints
+    scale, dtype = (2**70, object) if big else (1, np.int64)
+    kappa = data.draw(st.lists(st.integers(-5, 5).map(lambda x: x * scale), min_size=spec.dim, max_size=spec.dim))
+    f = make_automorphism(spec, _matrix(spec, kind), kappa)
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * spec.ncoords), min_size=1, max_size=8))
+    got = apply_automorphism_array(spec, f, np.array(rows, dtype=dtype))
+    assert got.tolist() == [list(apply_automorphism(spec, f, g)) for g in rows]
 
 
 def test_inverse_round_trip():
@@ -190,6 +230,39 @@ def test_twisted_modulus_offset_sum_equals_shifted_gcd_sum():
     # Omega(i,j) = (j,-i); as (i,j) runs over the cube so does (j,-i)
     shifted = gcd_sum(LatticeBallSpec(dim=2, radius=n, norm="cube", offset=(3, -5)))
     assert total == shifted
+
+
+def test_wide_conjugator_ball_matches_structural():
+    # The Bezout vectors of Omega v + kappa outrun the default conjugator radius here.
+    zxh1 = named_spec("ZxH1")
+    gens = standard_generating_set(zxh1)
+    f = make_automorphism(zxh1, identity_matrix(3), (3, -1, 2))
+    res = twisted_growth_bruteforce(zxh1, gens, f, 3, conjugator_radius=15)
+    assert res.counts == twisted_growth_structural(zxh1, f, 3, gens=gens) == [1, 7, 26, 70]
+    assert res.stable
+
+
+def test_bruteforce_exact_past_int64():
+    # a shift far past the ball's k range merges nothing along a, however large it is
+    for m, order in (((1, 0), (0, 1)), None), (((-1, 0), (0, -1)), 2):
+        big, small = (make_automorphism(H1, m, (k, 3)) for k in (2**70, 1000))
+        brute = [twisted_growth_bruteforce(H1, GENS1, f, 3).counts for f in (big, small)]
+        assert brute[0] == brute[1]
+        if order:
+            ext = [extension_conjugacy_growth(H1, GENS1, f, order, 3) for f in (big, small)]
+            assert ext[0] == ext[1]
+
+
+def test_ball_and_conjugator_ball_share_one_budget():
+    # n = 3: the ball holds 53 elements, the conjugator balls of radius 5 and 7 hold 299 and 1069
+    with pytest.raises(BudgetError) as info:
+        twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1100)
+    assert (info.value.needed, info.value.budget) == (53 + 1069, 1100)
+    assert twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1122).stable
+    # coset 0 of the extension holds the radius-3 ball and its radius-5 conjugator ball
+    with pytest.raises(BudgetError) as info:
+        extension_conjugacy_growth(H1, GENS1, swap_automorphism(H1), 2, 3, budget=320)
+    assert (info.value.needed, info.value.budget) == (53 + 299, 320)
 
 
 def test_swap_two_classes_per_point():

@@ -51,6 +51,12 @@ def test_budget_exit_code(tmp_path):
     argv = ["gcdsum", "--dim", "2", "--radius", "100000", "--method", "sieve", "--budget", "10", "--out", str(out)]
     assert main(argv) == EXIT_BUDGET
     assert not out.exists()
+    # the twisted brute force charges its ball (53) and conjugator ball (1069 at radius 7) together
+    auto = tmp_path / "swap.json"
+    auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
+    argv = ["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto), "--mode", "brute"]
+    assert main(argv + ["--conjugator-radius", "5", "--budget", "1100", "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
 
 
 def test_usage_errors(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,9 @@ from nilgrowth.conjugacy import (
     conjugacy_length_window_check,
     direct_product_inequality_check,
     hd_embeddings,
+    merge_parts,
+    new_labels,
+    part_lengths,
     subgroup_domination_report,
 )
 from nilgrowth.errors import SpecError
@@ -146,10 +150,64 @@ def test_exact_counts_small():
 
 
 def test_exact_equals_oracle():
-    for name, n in [("H1", 6), ("HD2", 5), ("ZxH1", 5)]:
+    for name, n in [("H1", 6), ("HD2", 5), ("ZxH1", 5), ("H2", 5), ("H3", 3)]:
         spec = named_spec(name)
         gens = standard_generating_set(spec)
         assert conjugacy_growth_exact(spec, gens, n) == conjugacy_growth_oracle(spec, gens, n)
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, union by size with path compression: the label merge's reference.
+
+    An item never passed to union is its own singleton; parent holds non-roots only.
+    """
+
+    def __init__(self):
+        self.parent = {}
+        self.size = {}
+
+    def find(self, x):
+        root = x
+        while root in self.parent:
+            root = self.parent[root]
+        while x != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        sx, sy = self.size.get(rx, 1), self.size.get(ry, 1)
+        if sx < sy:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.size[rx] = sx + sy
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_label_merge_matches_union_find(size, data):
+    node = st.integers(0, size - 1)
+    batches = data.draw(st.lists(st.lists(st.tuples(node, node), max_size=40), max_size=4))
+    lengths = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    label = new_labels(size)
+    uf = UnionFind()
+    for edges in batches:
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        v = np.array([b for _, b in edges], dtype=np.int64)
+        merge_parts(label, u, v)
+        for a, b in edges:
+            uf.union(a, b)
+        # compressed: every label is a root, and every root is the least index of its part
+        assert (label[label] == label).all() and (label <= np.arange(size)).all()
+    parts, reference = {}, {}
+    for i in range(size):
+        parts.setdefault(int(label[i]), set()).add(i)
+        reference.setdefault(uf.find(i), set()).add(i)
+    assert sorted(map(sorted, parts.values())) == sorted(map(sorted, reference.values()))
+    least = sorted(min(lengths[i] for i in part) for part in reference.values())
+    assert sorted(part_lengths(label, np.array(lengths))) == least
 
 
 def test_oracle_guard():

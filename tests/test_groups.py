@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +22,16 @@ from nilgrowth.groups import (
     element_from_json_dict,
     element_to_json_dict,
     inverse,
+    inverse_array,
     is_central,
     make_group_spec,
     multiply,
+    multiply_array,
     named_spec,
     omega_apply,
     omega_form,
     power,
+    power_array,
     standard_generators,
 )
 
@@ -281,6 +285,22 @@ def test_group_law_on_random_specs(spec, data):
     assert multiply(spec, g, inverse(spec, g)) == spec.identity()
     assert power(spec, g, a + b) == multiply(spec, power(spec, g, a), power(spec, g, b))
     assert class_key(spec, conjugate(spec, x, g)) == class_key(spec, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs(), st.integers(1, 6), st.booleans(), st.data())
+def test_array_law_matches_tuple_law(spec, rows, big, data):
+    # big entries pass int64, so the arrays hold exact Python ints
+    scale, dtype = (2**70, object) if big else (1, np.int64)
+    element = st.tuples(*[st.integers(-20, 20).map(lambda x: x * scale)] * spec.ncoords)
+    g, h = (data.draw(st.lists(element, min_size=rows, max_size=rows)) for _ in range(2))
+    m = data.draw(st.lists(st.integers(-6, 6), min_size=rows, max_size=rows))
+    ga, ha = np.array(g, dtype=dtype), np.array(h, dtype=dtype)
+    assert multiply_array(spec, ga, ha).tolist() == [list(multiply(spec, x, y)) for x, y in zip(g, h)]
+    assert multiply_array(spec, ga[0], ha).tolist() == [list(multiply(spec, g[0], y)) for y in h]
+    assert inverse_array(spec, ga).tolist() == [list(inverse(spec, x)) for x in g]
+    assert power_array(spec, ga, np.array(m)).tolist() == [list(power(spec, x, e)) for x, e in zip(g, m)]
+    assert power_array(spec, ga[0], np.array(m)).tolist() == [list(power(spec, g[0], e)) for e in m]
 
 
 def test_standard_generators():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,15 @@ def test_engine_matches_dense_reference(case):
     assert central_growth(spec, gens, n, table=table) == central
     for g, l in list(ref.items())[:: max(1, len(ref) // 5)]:
         assert word_length(spec, g, gens, n) == l
+    # the row lookup: every ball element at its place in entries; the next sphere is not in the ball,
+    # nor is a row past the coordinate bounds that packs to a ball key (one digit carried into the next)
+    assert table.index(np.array(list(ref))).tolist() == list(range(len(ref)))
+    assert table.lengths.tolist() == list(ref.values())
+    outside = list(_reference_ball(spec, gens, n + 1).keys() - ref.keys())
+    radices = table.codec.radices
+    for p in range(1, spec.ncoords):
+        outside += [g[: p - 1] + (g[p - 1] - 1, g[p] + radices[p]) + g[p + 1 :] for g in ref]
+    assert (table.index(np.array(outside).reshape(-1, spec.ncoords)) == -1).all()
 
 
 def test_key_overflow_is_a_spec_error():
