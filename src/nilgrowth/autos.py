@@ -21,12 +21,11 @@ from .groups import (
     Element,
     GroupSpec,
     Vector,
-    _inverse,
     _multiply,
     array_dtype,
     check_element,
+    commutator,
     element_bound,
-    inverse_array,
     multiply_array,
     omega_form,
     power,
@@ -48,11 +47,8 @@ from .intlinalg import (
     row_kernel_vector,
     vec_mat,
 )
-from .conjugacy import class_lengths, merge_images, new_labels, part_lengths
-from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, resolve_budget, sorted_unique
-
-# Rows of one block of the (conjugator pair x ball) product in the twisted brute force.
-ROW_BLOCK = 4096
+from .conjugacy import class_lengths, merge_conjugates, merge_images, new_labels, part_lengths
+from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, resolve_budget
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -251,21 +247,12 @@ def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, se
     s = spec.s
     for t in range(spec.r):
         a_t, b_t = gens[s + 2 * t], gens[s + 2 * t + 1]
-        img = apply_automorphism(
-            spec,
-            f,
-            _multiply(spec, _multiply(spec, _multiply(spec, a_t, b_t), _inverse(spec, a_t)), _inverse(spec, b_t)),
-        )
-        if img != (0,) * spec.dim + (f.eps * spec.weights[t],):
+        if apply_automorphism(spec, f, commutator(spec, a_t, b_t)) != (0,) * spec.dim + (f.eps * spec.weights[t],):
             relators_ok = False
         for u in range(spec.r):
             if u == t:
                 continue
-            b_u = gens[s + 2 * u + 1]
-            com = _multiply(
-                spec, _multiply(spec, _multiply(spec, a_t, b_u), _inverse(spec, a_t)), _inverse(spec, b_u)
-            )
-            if apply_automorphism(spec, f, com) != spec.identity():
+            if apply_automorphism(spec, f, commutator(spec, a_t, gens[s + 2 * u + 1])) != spec.identity():
                 relators_ok = False
     report = VerifyReport(
         trials=trials,
@@ -284,54 +271,44 @@ def _twisted_partition(
     gens: GeneratingSet,
     f: Automorphism,
     table: BallTable,
-    conjugator_radius: int,
+    radii: tuple[int, ...],
     budget: int | None = None,
-) -> np.ndarray:
+):
     """Root-pointer labels (see merge_parts) of the ball's parts under h -> f(x) h x^{-1}, x in the conjugator ball.
 
-    x = lift(xbar) c^k gives f(x) h x^{-1} = f(lift) h lift^{-1} c^{(eps-1)k}, so
-    only the distinct (xbar, (eps-1)k) pairs matter: one per xbar when eps = +1,
-    where the k digit of every conjugator key is zeroed before deduping.  The
-    ball and the conjugator ball are charged against one budget.
+    One conjugator ball, of radius radii[-1], is merged in sphere prefixes: the
+    same label array is yielded once the conjugators of length <= radius are
+    merged, for each radius in radii (ascending).  x = y c^k gives
+    f(x) h x^{-1} = f(y) h y^{-1} when eps = +1, so then only one conjugator
+    per abelian body, at the body's least length, is merged.  The ball and the
+    conjugator ball are charged against one budget.
     """
     cap = resolve_budget(budget)
     try:
-        conj = enumerate_ball(spec, gens, conjugator_radius, budget=cap - len(table.keys))
+        conj = enumerate_ball(spec, gens, radii[-1], budget=cap - len(table.keys))
     except BudgetError as exc:
         raise BudgetError(
-            f"the radius-{table.radius} ball and the radius-{conjugator_radius} conjugator ball "
+            f"the radius-{table.radius} ball and the radius-{radii[-1]} conjugator ball "
             f"need more than {cap} stored elements",
             needed=len(table.keys) + exc.needed,
             budget=cap,
         ) from None
     codec = conj.codec
-    keys = conj.keys
+    keys, lengths = conj.keys, conj.lengths
     if f.eps == 1:
-        keys = sorted_unique(keys - (keys % codec.radix_k - codec.k_bound))
-    reach = codec.reach
-    bound = product_bound(spec, _image_bound(spec, f, reach), table.codec.reach)
-    # times lift^-1, then c^((eps - 1) k)
-    bound = product_bound(spec, product_bound(spec, bound, product_bound(spec, reach, reach)), (0, 2 * reach[1]))
-    dtype = array_dtype(bound)
-    lifts = codec.coords(keys).astype(dtype)
-    shifts = (f.eps - 1) * lifts[:, -1]
-    lifts[:, -1] = 0
-    flifts = apply_automorphism_array(spec, f, lifts)[:, None]
-    linvs = inverse_array(spec, lifts)[:, None]
-    coords = table.coords.astype(dtype, copy=False)
-    label = new_labels(len(coords))
-    block = max(1, ROW_BLOCK // len(coords))
-    for lo in range(0, len(lifts), block):
-        part = slice(lo, lo + block)
-        image = multiply_array(spec, multiply_array(spec, flifts[part], coords), linvs[part])
-        image[..., -1] += shifts[part, None]
-        merge_images(label, table.index(image))
-    return label
+        keys, first = np.unique(keys - (keys % codec.radix_k - codec.k_bound), return_index=True)
+        lengths = lengths[first]
+    dtype = array_dtype(_image_bound(spec, f, codec.reach))
+    label = new_labels(len(table.keys))
+    for lo, hi in zip((-1,) + radii, radii):
+        x = codec.coords(keys[(lo < lengths) & (lengths <= hi)]).astype(dtype)
+        merge_conjugates(spec, table, label, x, apply_automorphism_array(spec, f, x))
+        yield label
 
 
 @dataclass
 class TwistedGrowthResult:
-    """Twisted class counts; `counts` comes from the deeper (radius + 2) recheck run."""
+    """Twisted class counts: `counts` merges conjugators up to length radius + 2, `first_pass_counts` up to radius."""
 
     counts: list[int]
     stable: bool
@@ -348,14 +325,14 @@ def twisted_growth_bruteforce(
     conjugator_radius: int | None = None,
     budget: int | None = None,
 ) -> TwistedGrowthResult:
-    """Orbit-closure twisted counts; recomputed at conjugator_radius + 2 for stability."""
-    if n < 0:
-        raise SpecError("radius must be nonnegative")
+    """Orbit-closure twisted counts, rechecked through conjugators up to length conjugator_radius + 2 for stability."""
     radius = conjugator_radius if conjugator_radius is not None else n + 2
+    if min(n, radius) < 0:
+        raise SpecError("radius must be nonnegative")
     table = enumerate_ball(spec, gens, n, budget=budget)
-    label = _twisted_partition(spec, gens, f, table, radius, budget=budget)
-    counts = cumulative_counts(part_lengths(label, table.lengths), n)
-    label = _twisted_partition(spec, gens, f, table, radius + 2, budget=budget)
+    passes = _twisted_partition(spec, gens, f, table, (radius, radius + 2), budget=budget)
+    counts = cumulative_counts(part_lengths(next(passes), table.lengths), n)
+    label = next(passes)
     recheck = cumulative_counts(part_lengths(label, table.lengths), n)
     elements = table.codec.unpack(table.keys)
     part_of = dict(zip(elements, [elements[root] for root in label.tolist()]))
@@ -427,7 +404,6 @@ def extension_conjugacy_growth(
     f: Automorphism,
     order: int,
     n: int,
-    conjugator_radius: int | None = None,
     budget: int | None = None,
 ) -> list[int]:
     """Conjugacy growth of G = H x|_phi Z/order with gens + t, |t^i h| = min(i, order-i) + |h|.
@@ -446,10 +422,8 @@ def extension_conjugacy_growth(
         ni = n - ct
         if ni < 0:
             continue
-        phi_i = automorphism_power(spec, f, i)
-        radius = conjugator_radius if conjugator_radius is not None else ni + 2
         table = enumerate_ball(spec, gens, ni, budget=budget)
-        label = _twisted_partition(spec, gens, phi_i, table, radius, budget=budget)
+        (label,) = _twisted_partition(spec, gens, automorphism_power(spec, f, i), table, (ni + 2,), budget=budget)
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
         dtype = array_dtype(_image_bound(spec, f, table.codec.reach))
         merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords.astype(dtype, copy=False))))

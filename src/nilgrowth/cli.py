@@ -224,6 +224,12 @@ def cmd_twisted(args) -> int:
         )
         counts = res.counts
         extra = {"stable": res.stable, "conjugator_radius": res.conjugator_radius}
+        if not res.stable:
+            print(
+                f"warning: twisted counts not stable: conjugator radius {res.conjugator_radius} gives "
+                f"{res.first_pass_counts}, radius {res.conjugator_radius + 2} gives {res.counts}",
+                file=sys.stderr,
+            )
     else:
         counts = twisted_growth_structural(spec, f, args.radius, gens=gens, budget=args.budget)
     rows = list(enumerate(counts))

@@ -9,11 +9,11 @@ reproduce its counts on every computed ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .errors import SpecError, StructuralError
+from .errors import BudgetError, SpecError, StructuralError
 from .gcdsums import l1_gcd_sums
 from .groups import (
     Element,
@@ -21,15 +21,16 @@ from .groups import (
     Vector,
     abelianize,
     array_dtype,
+    central_element,
     check_element,
+    commutator,
     element_bound,
-    inverse,
     inverse_array,
     make_group_spec,
     multiply,
     multiply_array,
     omega_apply,
-    power,
+    power_array,
     product_bound,
     standard_generators,
 )
@@ -41,6 +42,7 @@ from .words import (
     central_growth,
     cumulative_counts,
     enumerate_ball,
+    resolve_budget,
     sorted_difference,
     sorted_unique,
     standard_generating_set,
@@ -126,6 +128,30 @@ def part_lengths(label: np.ndarray, lengths: np.ndarray) -> list[int]:
     return least[label == np.arange(len(label))].tolist()
 
 
+# Rows of one block of the (conjugator row x ball) product in merge_conjugates.
+ROW_BLOCK = 4096
+
+
+def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
+    """Merge the part of every ball element h with that of fx[i] h x[i]^-1, for every conjugator row i, in place.
+
+    fx = x merges conjugates; fx = f(x) merges f-twisted conjugates.  x and fx
+    are (rows, ncoords) arrays.  The products are computed in int64 while
+    every coordinate bound stays below 2^62, else in exact Python ints, and in
+    blocks of about ROW_BLOCK image rows, each merged as it is made.
+    """
+    bx = element_bound(x)
+    bound = product_bound(spec, product_bound(spec, element_bound(fx), table.codec.reach), product_bound(spec, bx, bx))
+    dtype = array_dtype(bound)
+    coords = table.coords.astype(dtype, copy=False)
+    fx = fx.astype(dtype)[:, None]
+    xinv = inverse_array(spec, x.astype(dtype))[:, None]
+    block = max(1, ROW_BLOCK // len(coords))
+    for lo in range(0, len(xinv), block):
+        part = slice(lo, lo + block)
+        merge_images(label, table.index(multiply_array(spec, multiply_array(spec, fx[part], coords), xinv[part])))
+
+
 def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict[ConjClassKey, int]:
     """Minimal word length per class key (abel, k mod class_modulus(abel, kappa)) over the ball.
 
@@ -203,16 +229,9 @@ def conjugacy_growth_oracle(
     if n > guard:
         raise SpecError(f"oracle guarded at radius {guard}; asked for {n}")
     table = enumerate_ball(spec, gens, n + 2, budget=budget)
-    steps = _step_set(spec, gens)
-    reach = element_bound(steps)
-    dtype = array_dtype(
-        product_bound(spec, product_bound(spec, reach, table.codec.reach), product_bound(spec, reach, reach))
-    )
-    coords = table.coords.astype(dtype, copy=False)
-    label = new_labels(len(coords))
-    for x in steps:
-        x = np.array(x, dtype=dtype)
-        merge_images(label, table.index(multiply_array(spec, multiply_array(spec, x, coords), inverse_array(spec, x))))
+    steps = np.array(_step_set(spec, gens), dtype=object)
+    label = new_labels(len(table.keys))
+    merge_conjugates(spec, table, label, steps, steps)
     return cumulative_counts(part_lengths(label, table.lengths), n)
 
 
@@ -385,122 +404,109 @@ class EmbeddingReport:
     phi_homomorphism_ok: bool
 
 
-def _gamma1_label(spec: GroupSpec, gamma: tuple[int, ...], x: Element):
-    """Coset invariant of x Gamma_1: a-coordinates mod gamma_t and k mod delta_{r-1}."""
-    dmax = gamma[0]  # delta_{r-1}
-    return tuple(x[2 * t] % gamma[t] for t in range(spec.r)) + (x[-1] % dmax,)
+def _coset_count(spec: GroupSpec, moves: np.ndarray, canonical, cap: int) -> int:
+    """How many cosets left multiplication by moves reaches from the identity's.
+
+    canonical maps (rows, ncoords) arrays to their cosets' representatives, so
+    the work is bounded by the index; past cap stored cosets it raises BudgetError.
+    """
+    frontier = canonical(np.zeros((1, spec.ncoords), dtype=np.int64))
+    seen = set(map(tuple, frontier.tolist()))
+    while len(frontier):
+        images = canonical(multiply_array(spec, moves[:, None], frontier).reshape(-1, spec.ncoords))
+        fresh = set(map(tuple, images.tolist())) - seen
+        seen |= fresh
+        if len(seen) > cap:
+            raise BudgetError(f"the coset walk needs more than {cap} stored cosets", needed=len(seen), budget=cap)
+        frontier = np.array(sorted(fresh), dtype=np.int64).reshape(-1, spec.ncoords)
+    return len(seen)
 
 
-def hd_embeddings(spec: GroupSpec, ball_radius: int = 4, budget: int | None = None) -> EmbeddingReport:
+def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport:
     """Verify the two commensurability embeddings around H_D by coset enumeration.
 
     Gamma_1 = <a_t^{gamma_t}, b_t> with gamma_t = delta_{r-1}/w_t; its index is
     prod(gamma) * delta_{r-1}.  phi: a_t -> d_t^{w_t}, b_t -> e_t embeds H_D in
-    H_r with index prod(delta).
+    H_r with index prod(delta).  Both indices are counted exactly, as the
+    cosets the generators reach from the identity's; the radius-4 ball is the
+    sample for the label, reduction and phi checks.
     """
     if spec.s != 0 or spec.r == 0:
         raise SpecError("embeddings are defined for H_D (s=0, r >= 1)")
     r = spec.r
-    dmax = spec.weights[-1] if r >= 1 else 1  # delta_{r-1}; 1 when r = 1
+    dmax = spec.weights[-1]  # delta_{r-1}; 1 when r = 1
     gamma = tuple(dmax // w for w in spec.weights)
-    index1_formula = dmax
-    for g in gamma:
-        index1_formula *= g
-    index2_formula = 1
-    for w in spec.weights:
-        index2_formula *= w
+    gens = np.array(standard_generators(spec))
+    gamma1_gens = np.concatenate((power_array(spec, gens[0::2], gamma), gens[1::2]))
+    c_gamma1 = np.array(central_element(spec, dmax))
 
-    gens = standard_generators(spec)
-    gamma1_gens = [power(spec, gens[2 * t], gamma[t]) for t in range(r)]
-    gamma1_gens += [gens[2 * t + 1] for t in range(r)]
+    def coset_label(y: np.ndarray) -> np.ndarray:
+        """Coset invariant of y Gamma_1: a-coordinates mod gamma_t and k mod delta_{r-1}."""
+        return np.concatenate((y[..., 0:-1:2] % gamma, y[..., -1:] % dmax), axis=-1)
 
-    table = enumerate_ball(spec, standard_generating_set(spec), ball_radius, budget=budget)
+    def reduce(y: np.ndarray) -> np.ndarray:
+        """The canonical representative of y Gamma_1.
 
-    # label invariance under right multiplication by Gamma_1 generators
-    label_ok = True
-    for x in table.entries:
-        lab = _gamma1_label(spec, gamma, x)
-        for y in gamma1_gens:
-            for z in (y, inverse(spec, y)):
-                if _gamma1_label(spec, gamma, multiply(spec, x, z)) != lab:
-                    label_ok = False
-
-    # explicit reduction of each ball element to its canonical coset representative:
-    # clear j with b_t, reduce i mod gamma_t with a_t^{gamma_t}, reduce k mod
-    # delta_{r-1} with the Gamma_1 commutator [a_t^{gamma_t}, b_t] = c^{dmax}.
-    c_gamma1 = (0,) * spec.dim + (dmax,)
-    reps = set()
-    reduction_ok = True
-    for x in table.entries:
-        y = x
+        Clear j with b_t, reduce i mod gamma_t with a_t^{gamma_t}, and reduce k
+        mod delta_{r-1} with the Gamma_1 commutator [a_t^{gamma_t}, b_t] = c^{delta_{r-1}}.
+        """
         for t in range(r):
-            y = multiply(spec, y, power(spec, gens[2 * t + 1], -y[2 * t + 1]))
-            q = y[2 * t] % gamma[t]
-            y = multiply(spec, y, power(spec, gamma1_gens[t], -((y[2 * t] - q) // gamma[t])))
-        y = multiply(spec, y, power(spec, c_gamma1, -(y[-1] // dmax)))
-        if _gamma1_label(spec, gamma, y) != _gamma1_label(spec, gamma, x):
-            reduction_ok = False
-        if any(y[2 * t + 1] for t in range(r)) or not (0 <= y[-1] < dmax):
-            reduction_ok = False
-        if any(not (0 <= y[2 * t] < gamma[t]) for t in range(r)):
-            reduction_ok = False
-        reps.add(y)
-    index1 = len(reps)
+            y = multiply_array(spec, y, power_array(spec, gens[2 * t + 1], -y[:, 2 * t + 1]))
+            y = multiply_array(spec, y, power_array(spec, gamma1_gens[t], -(y[:, 2 * t] // gamma[t])))
+        return multiply_array(spec, y, power_array(spec, c_gamma1, -(y[:, -1] // dmax)))
+
+    x = enumerate_ball(spec, standard_generating_set(spec), 4, budget=budget).coords
+    # label invariance under right multiplication by Gamma_1 generators and their inverses
+    moves = np.concatenate((gamma1_gens, inverse_array(spec, gamma1_gens)))
+    label_ok = bool((coset_label(multiply_array(spec, x[:, None], moves)) == coset_label(x)[:, None]).all())
+    y = reduce(x)
+    a, k = y[:, 0:-1:2], y[:, -1]
+    reduction_ok = bool(
+        (coset_label(y) == coset_label(x)).all()
+        and not y[:, 1:-1:2].any()
+        and ((0 <= k) & (k < dmax)).all()
+        and ((0 <= a) & (a < gamma)).all()
+    )
+    index1 = _coset_count(spec, gens, reduce, resolve_budget(budget))
 
     # phi into H_r: coordinates (i_t, j_t, k) -> (w_t i_t, j_t, k)
     hr = make_group_spec(0, r, (1,) * (r - 1))
-
-    def phi(g: Element) -> Element:
-        out = []
-        for t in range(r):
-            out.append(spec.weights[t] * g[2 * t])
-            out.append(g[2 * t + 1])
-        out.append(g[-1])
-        return tuple(out)
-
-    hom_ok = True
-    items = list(table.entries)[:400]
-    for g in items[::7] or items:
-        for h in items[::11] or items:
-            if phi(multiply(spec, g, h)) != multiply(hr, phi(g), phi(h)):
-                hom_ok = False
-    injective_ok = len({phi(g) for g in table.entries}) == len(table.entries)
-
-    hr_gens = standard_generators(hr)
-    relators_ok = True
-    for t in range(r):
-        img_a, img_b = phi(gens[2 * t]), phi(gens[2 * t + 1])
-        com = multiply(hr, multiply(hr, img_a, img_b), multiply(hr, inverse(hr, img_a), inverse(hr, img_b)))
-        if com != (0,) * hr.dim + (spec.weights[t],):
-            relators_ok = False
-        for u in range(t + 1, r):
-            for p in (img_a, img_b):
-                for q in (phi(gens[2 * u]), phi(gens[2 * u + 1])):
-                    if multiply(hr, p, q) != multiply(hr, q, p):
-                        relators_ok = False
+    scale = np.array([v for w in spec.weights for v in (w, 1)] + [1])
+    g, h = x[:400:7, None], x[None, :400:11]
+    hom_ok = bool((multiply_array(spec, g, h) * scale == multiply_array(hr, g * scale, h * scale)).all())
+    phi_x = (x * scale)[np.lexsort((x * scale).T)]
+    injective_ok = bool((phi_x[1:] != phi_x[:-1]).any(axis=1).all())  # sorted, so equal rows would be adjacent
+    # the relators [x_p, x_q] = c^{omega_pq} hold for the generator images (phi fixes c)
+    std, images = standard_generators(spec), list(map(tuple, (gens * scale).tolist()))
+    relators_ok = all(
+        commutator(hr, images[p], images[q]) == commutator(spec, std[p], std[q]) for p in range(2 * r) for q in range(p)
+    )
 
     # index of phi(H_D) in Gamma_2 = H_r: labels are a-coordinates mod w_t
-    hr_table = enumerate_ball(hr, GeneratingSet(hr_gens), ball_radius, budget=budget)
-    labels2 = {tuple(x[2 * t] % spec.weights[t] for t in range(r)) for x in hr_table.entries}
-    index2 = len(labels2)
+    def reduce2(y: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(y)
+        out[:, 0:-1:2] = y[:, 0:-1:2] % spec.weights
+        return out
+
+    index2 = _coset_count(hr, np.array(standard_generators(hr)), reduce2, resolve_budget(budget))
 
     report = EmbeddingReport(
         spec=spec,
         gamma=gamma,
         index_gamma1=index1,
-        index_gamma1_formula=index1_formula,
+        index_gamma1_formula=dmax * prod(gamma),
         index_gamma2=index2,
-        index_gamma2_formula=index2_formula,
+        index_gamma2_formula=prod(spec.weights),
         label_invariance_ok=label_ok,
         reduction_ok=reduction_ok,
         phi_relators_ok=relators_ok,
         phi_injective_ok=injective_ok,
         phi_homomorphism_ok=hom_ok,
     )
-    if index1 != index1_formula or index2 != index2_formula:
+    if (index1, index2) != (report.index_gamma1_formula, report.index_gamma2_formula):
         raise StructuralError(
-            f"embedding index mismatch: Gamma_1 {index1} vs {index1_formula}, "
-            f"Gamma_2 {index2} vs {index2_formula}"
+            f"embedding index mismatch: Gamma_1 {index1} vs {report.index_gamma1_formula}, "
+            f"Gamma_2 {index2} vs {report.index_gamma2_formula}"
         )
     if not (label_ok and reduction_ok and relators_ok and injective_ok and hom_ok):
         raise StructuralError("embedding verification failed")

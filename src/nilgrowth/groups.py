@@ -219,9 +219,9 @@ def array_dtype(*bounds: tuple[int, int]):
 
 
 def element_bound(rows) -> tuple[int, int]:
-    """Bounds (off k, on k) on the coordinates of the given elements or coordinate rows."""
-    rows = list(rows)
-    return max(abs(x) for g in rows for x in g[:-1]), max(abs(g[-1]) for g in rows)
+    """Bounds (off k, on k), as exact Python ints, on the coordinates of the given elements or coordinate rows."""
+    rows = np.abs(rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object))
+    return int(rows[..., :-1].max(initial=0)), int(rows[..., -1].max(initial=0))
 
 
 def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:

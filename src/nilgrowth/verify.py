@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 
 from .autos import (
     extension_conjugacy_growth,
@@ -171,10 +172,14 @@ def check_expected_gcd() -> None:
         raise StructuralError("expected gcd disagrees with the sum")
 
 
-def check_embeddings() -> None:
-    rep = hd_embeddings(named_spec("HD2"))
-    if rep.index_gamma1 != 4 or rep.index_gamma2 != 2:
-        raise StructuralError(f"embedding indices {rep.index_gamma1}, {rep.index_gamma2} != 4, 2")
+def check_embeddings(spec: GroupSpec) -> None:
+    """The sandwich of spec itself when s = 0, else of HD2: indices prod(gamma) delta_{r-1} and prod(delta)."""
+    spec = spec if spec.s == 0 else named_spec("HD2")
+    rep = hd_embeddings(spec)
+    dmax = spec.weights[-1]
+    want = (dmax * prod(dmax // w for w in spec.weights), prod(spec.weights))
+    if (rep.index_gamma1, rep.index_gamma2) != want:
+        raise StructuralError(f"embedding indices {rep.index_gamma1}, {rep.index_gamma2} != {want[0]}, {want[1]}")
 
 
 def check_automorphisms(spec: GroupSpec) -> None:
@@ -236,7 +241,7 @@ def run_verification(spec: GroupSpec | None = None, quick: bool = False) -> list
         ("conjugacy_oracle", lambda: check_conjugacy_oracle_agreement(spec, conj_radius)),
         ("gcd_methods", check_gcd_methods_agree),
         ("expected_gcd", check_expected_gcd),
-        ("embeddings", check_embeddings),
+        ("embeddings", lambda: check_embeddings(spec)),
         ("series_tools", check_series_tools),
     ]
     if spec.r >= 1 and all(d == 1 for d in spec.delta):

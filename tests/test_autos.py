@@ -265,6 +265,65 @@ def test_ball_and_conjugator_ball_share_one_budget():
     assert (info.value.needed, info.value.budget) == (53 + 299, 320)
 
 
+def _on_every_pair(spec, block, kappa=None):
+    """The automorphism acting by the 2x2 block on every (a_t, b_t) pair of H_D."""
+    m = [[0] * spec.dim for _ in range(spec.dim)]
+    for t in range(spec.r):
+        for i in range(2):
+            for j in range(2):
+                m[2 * t + i][2 * t + j] = block[i][j]
+    return make_automorphism(spec, m, kappa)
+
+
+@pytest.mark.parametrize("spec", [H1, HD2], ids=["H1", "HD2"])
+def test_first_pass_is_the_smaller_conjugator_ball(spec):
+    # the first pass merges only the conjugators of length <= R: a whole run at R gives the same counts
+    gens = standard_generating_set(spec)
+    autos = [
+        swap_automorphism(spec),
+        _on_every_pair(spec, ((-1, 0), (0, -1))),
+        _on_every_pair(spec, ((1, 1), (0, 1))),
+        _on_every_pair(spec, ((1, 0), (0, 1)), (6, 8) * spec.r),
+    ]
+    unstable = 0
+    for f in autos:
+        for n in (2, 3):
+            for radius in (n, n + 2):
+                res = twisted_growth_bruteforce(spec, gens, f, n, conjugator_radius=radius)
+                smaller = twisted_growth_bruteforce(spec, gens, f, n, conjugator_radius=radius - 2)
+                assert res.first_pass_counts == smaller.counts
+                unstable += not res.stable
+    # a first pass over the whole (R + 2)-ball would report every one of these stable
+    assert unstable
+
+
+def test_swap_counts_on_h2_and_hd2():
+    for name, counts in (("H2", [1, 5, 13, 25]), ("HD2", [1, 5, 13, 29])):
+        spec = named_spec(name)
+        res = twisted_growth_bruteforce(spec, standard_generating_set(spec), swap_automorphism(spec), 3)
+        assert (res.counts, res.first_pass_counts, res.stable) == (counts, counts, True)
+    res = twisted_growth_bruteforce(HD2, standard_generating_set(HD2), swap_automorphism(HD2), 3, conjugator_radius=3)
+    assert (res.counts, res.first_pass_counts, res.stable) == ([1, 5, 13, 29], [1, 5, 13, 31], False)
+
+
+def test_one_conjugator_ball_per_count(monkeypatch):
+    import nilgrowth.autos
+
+    radii = []
+    enumerate_ball = nilgrowth.autos.enumerate_ball
+
+    def counting(spec, gens, n, budget=None):
+        radii.append(n)
+        return enumerate_ball(spec, gens, n, budget=budget)
+
+    monkeypatch.setattr(nilgrowth.autos, "enumerate_ball", counting)
+    twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3)
+    assert radii == [3, 7]  # the ball, then the recheck's conjugator ball, whose prefix serves the first pass
+    radii.clear()
+    extension_conjugacy_growth(H1, GENS1, swap_automorphism(H1), 2, 3)
+    assert radii == [3, 5, 2, 4]  # per coset: the ball and one conjugator ball
+
+
 def test_swap_two_classes_per_point():
     res = twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 6)
     assert res.stable

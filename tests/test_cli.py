@@ -147,6 +147,21 @@ def test_twisted_and_extension(tmp_path):
     assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(bad)]) == EXIT_USAGE
 
 
+def test_unstable_twisted_count_warns(tmp_path, capsys):
+    # kappa = (6, 8) outruns the default conjugator ball: n = 2 has 14 twisted classes, the brute force reports 15
+    auto = tmp_path / "shift.json"
+    auto.write_text(json.dumps({"M": [[1, 0], [0, 1]], "kappa": [6, 8]}))
+    assert main(["twisted", "--spec", "H1", "--radius", "2", "--auto", str(auto)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "2,15"
+    assert captured.err.splitlines() == [
+        "warning: twisted counts not stable: conjugator radius 4 gives [1, 5, 16], radius 6 gives [1, 5, 15]"
+    ]
+    auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
+    assert main(["twisted", "--spec", "H1", "--radius", "2", "--auto", str(auto)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_series_pipeline(tmp_path):
     table = tmp_path / "sq.csv"
     with open(table, "w", newline="") as fh:
@@ -175,6 +190,16 @@ def test_embeddings_report(tmp_path):
 
 def test_verify_quick():
     assert main(["verify", "--spec", "H1", "--quick"]) == EXIT_OK
+
+
+def test_embeddings_and_verify_on_a_wide_chain(tmp_path):
+    spec = tmp_path / "hd6.json"
+    spec.write_text(json.dumps({"s": 0, "r": 2, "delta": [6]}))
+    out = tmp_path / "emb.json"
+    assert main(["embeddings", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["index_gamma1"], report["index_gamma2"]) == (36, 6)
+    assert main(["verify", "--spec", str(spec), "--quick"]) == EXIT_OK
 
 
 def _one_line_error(capsys):

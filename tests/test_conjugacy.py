@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from nilgrowth.conjugacy import (
     part_lengths,
     subgroup_domination_report,
 )
-from nilgrowth.errors import SpecError
+from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import l1_gcd_sums
 from nilgrowth.groups import central_element, conjugate, make_group_spec, named_spec
 from nilgrowth.intlinalg import identity_matrix
@@ -370,6 +371,38 @@ def test_hd_embeddings_trivial_d():
 def test_hd_embeddings_rejects_s_positive():
     with pytest.raises(SpecError):
         hd_embeddings(named_spec("ZxH1"))
+
+
+@pytest.mark.parametrize("delta", [(6,), (2, 6), (3, 6), (1, 4), (2, 2, 4)])
+def test_hd_embeddings_exact_index(delta):
+    # a radius-4 ball misses some Gamma_1 cosets on these chains; the coset count reaches them all
+    spec = make_group_spec(0, len(delta) + 1, delta)
+    rep = hd_embeddings(spec)
+    dmax = delta[-1]
+    assert rep.index_gamma1 == rep.index_gamma1_formula == dmax * prod(dmax // w for w in spec.weights)
+    assert rep.index_gamma2 == rep.index_gamma2_formula == prod(delta)
+    assert rep.label_invariance_ok and rep.reduction_ok
+    assert rep.phi_relators_ok and rep.phi_injective_ok and rep.phi_homomorphism_ok
+
+
+def test_hd_embeddings_coset_walk_budget():
+    # delta = (100,): the radius-4 ball holds 813 elements, Gamma_1 has index 10^4
+    with pytest.raises(BudgetError) as info:
+        hd_embeddings(make_group_spec(0, 2, (100,)), budget=1000)
+    assert info.value.budget == 1000 and info.value.needed > 1000
+    assert hd_embeddings(make_group_spec(0, 2, (100,)), budget=10**4).index_gamma1 == 10**4
+
+
+def test_verify_checks_the_specs_own_embeddings(monkeypatch):
+    import nilgrowth.verify
+
+    seen = []
+    real = nilgrowth.verify.hd_embeddings
+    monkeypatch.setattr(nilgrowth.verify, "hd_embeddings", lambda spec: seen.append(spec) or real(spec))
+    hd6 = make_group_spec(0, 2, (6,))
+    nilgrowth.verify.check_embeddings(hd6)
+    nilgrowth.verify.check_embeddings(named_spec("ZxH1"))  # no H_D sandwich: HD2's stands in
+    assert seen == [hd6, named_spec("HD2")]
 
 
 def test_direct_product_z_z():
