@@ -21,7 +21,6 @@ from .groups import (
     Element,
     GroupSpec,
     Vector,
-    _multiply,
     array_dtype,
     check_element,
     commutator,
@@ -120,7 +119,7 @@ def apply_automorphism(spec: GroupSpec, f: Automorphism, g: Element) -> Element:
     acc = spec.identity()
     for p in range(spec.dim):
         if g[p]:
-            acc = _multiply(spec, acc, power(spec, f.images[p], g[p]))
+            acc = spec.mul(acc, power(spec, f.images[p], g[p]))
     if g[-1]:
         acc = acc[:-1] + (acc[-1] + f.eps * g[-1],)
     return acc
@@ -224,11 +223,11 @@ class VerifyReport:
 
 def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, seed: int = 0) -> VerifyReport:
     """Homomorphism fuzz, inverse round-trip, f(c) = c^eps, relator preservation."""
-    rng = random.Random(seed)
-    # Trial t draws g, then h, coordinate by coordinate: rows 2t and 2t + 1.
-    draws = [rng.randint(-9, 9) for _ in range(2 * trials * spec.ncoords)]
     image = _image_bound(spec, f, (9, 9))
     dtype = array_dtype(_image_bound(spec, f, product_bound(spec, (9, 9), (9, 9))), product_bound(spec, image, image))
+    # trial t draws g = pairs[t, 0] and h = pairs[t, 1], in one choices call; numpy.random is left
+    # out because numpy does not import it, and its first import costs ~6 MB of RSS
+    draws = random.Random(seed).choices(range(-9, 10), k=2 * trials * spec.ncoords)
     pairs = np.array(draws, dtype=dtype).reshape(trials, 2, spec.ncoords)
     g, h = pairs[:, 0], pairs[:, 1]
     lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))

@@ -27,7 +27,6 @@ from .groups import (
     element_bound,
     inverse_array,
     make_group_spec,
-    multiply,
     multiply_array,
     omega_apply,
     power_array,
@@ -323,7 +322,7 @@ def colinear_commute_check(spec: GroupSpec, g: Element, h: Element) -> tuple[boo
     """(do g,h commute?, are their abelianizations colinear?) — must agree in H_1."""
     if spec.s != 0 or spec.r != 1:
         raise SpecError("colinearity criterion applies to H_1 only")
-    commute = multiply(spec, g, h) == multiply(spec, h, g)
+    commute = spec.mul(g, h) == spec.mul(h, g)
     u, v = abelianize(spec, g), abelianize(spec, h)
     colinear = u[0] * v[1] - u[1] * v[0] == 0
     return commute, colinear

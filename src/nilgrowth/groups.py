@@ -18,6 +18,7 @@ arithmetic.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import index
 
@@ -39,14 +40,26 @@ NAMED_SPECS = {
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parameters (s, r, delta) of Z^s x H_D, with derived weights."""
+    """Parameters (s, r, delta) of Z^s x H_D, with derived weights.
+
+    `mul` and `inv` are the group law's straight-line kernels, generated once
+    for this spec by `_compile_law`; they take no part in repr, equality or hashing.
+    """
 
     s: int
     r: int
     delta: tuple[int, ...]
     weights: tuple[int, ...] = field(init=False)
+    mul: Callable[[Element, Element], Element] = field(init=False, repr=False, compare=False, hash=False)
+    inv: Callable[[Element], Element] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        try:
+            exact = {"s": index(self.s), "r": index(self.r), "delta": tuple(index(d) for d in self.delta)}
+        except TypeError as exc:
+            raise SpecError(f"s, r and the delta entries must be integers: {exc}") from exc
+        for name, value in exact.items():
+            object.__setattr__(self, name, value)
         if self.s < 0 or self.r < 0:
             raise SpecError("s and r must be nonnegative")
         if self.s == 0 and self.r == 0:
@@ -61,6 +74,12 @@ class GroupSpec:
                 raise SpecError("delta chain must satisfy delta_t | delta_{t+1}")
         # w_1 = 1, w_t = delta_{t-1}; the chain condition makes w_t | w_{t+1}.
         object.__setattr__(self, "weights", (1,) + self.delta if self.r else ())
+        for name, kernel in zip(("mul", "inv"), _compile_law(self)):
+            object.__setattr__(self, name, kernel)
+
+    def __reduce__(self):
+        # the generated kernels cannot be pickled; rebuild them from the parameters
+        return type(self), (self.s, self.r, self.delta)
 
     @property
     def dim(self) -> int:
@@ -130,6 +149,47 @@ def element_from_json_dict(spec: GroupSpec, data: dict) -> Element:
     return tuple(flat)
 
 
+def _compile_law(spec: GroupSpec) -> tuple[Callable, Callable]:
+    """Straight-line (mul, inv) for one spec, generated and compiled once, as dataclasses and namedtuple do.
+
+    The source holds only identifiers and indices from range; the weights are
+    the names w0, w1, ... of the exec namespace.  The c exponent takes one
+    statement per Heisenberg pair, since one expression over thousands of
+    pairs overflows the compiler's recursion limit.  An input that does not
+    unpack to ncoords coordinates goes through check_element.
+    """
+    n = spec.ncoords
+    pairs = [(t, spec.s + 2 * t, spec.s + 2 * t + 1) for t in range(spec.r)]
+    gs = "".join(f"g{p}, " for p in range(n))
+    hs = "".join(f"h{p}, " for p in range(n))
+    source = "\n".join([
+        "def mul(g, h):",
+        "    try:",
+        f"        {gs}= g",
+        f"        {hs}= h",
+        "    except (TypeError, ValueError):",
+        "        check_element(spec, g)",
+        "        check_element(spec, h)",
+        "        raise",
+        f"    k = g{n - 1} + h{n - 1}",
+        *(f"    k -= w{t} * g{b} * h{a}" for t, a, b in pairs),
+        f"    return ({''.join(f'g{p} + h{p}, ' for p in range(n - 1))}k)",
+        "def inv(g):",
+        "    try:",
+        f"        {gs}= g",
+        "    except (TypeError, ValueError):",
+        "        check_element(spec, g)",
+        "        raise",
+        f"    k = -g{n - 1}",
+        *(f"    k -= w{t} * g{a} * g{b}" for t, a, b in pairs),
+        f"    return ({''.join(f'-g{p}, ' for p in range(n - 1))}k)",
+    ])
+    namespace = {"check_element": check_element, "spec": spec}
+    namespace.update((f"w{t}", w) for t, w in enumerate(spec.weights))
+    exec(compile(source, f"<group law s={spec.s} r={spec.r}>", "exec"), namespace)
+    return namespace["mul"], namespace["inv"]
+
+
 def multiply(spec: GroupSpec, g: Element, h: Element) -> Element:
     """Product gh in normal form.
 
@@ -137,35 +197,12 @@ def multiply(spec: GroupSpec, g: Element, h: Element) -> Element:
     -sum_t w_t * j_t(g) * i_t(h) from commuting h's a-letters past g's
     b-letters.
     """
-    check_element(spec, g)
-    check_element(spec, h)
-    return _multiply(spec, g, h)
-
-
-def _multiply(spec: GroupSpec, g: Element, h: Element) -> Element:
-    s = spec.s
-    out = [x + y for x, y in zip(g, h)]
-    k = g[-1] + h[-1]
-    for t, w in enumerate(spec.weights):
-        k -= w * g[s + 2 * t + 1] * h[s + 2 * t]
-    out[-1] = k
-    return tuple(out)
+    return spec.mul(g, h)
 
 
 def inverse(spec: GroupSpec, g: Element) -> Element:
     """Inverse; the c exponent needs -k - sum_t w_t i_t j_t to cancel the cross term."""
-    check_element(spec, g)
-    return _inverse(spec, g)
-
-
-def _inverse(spec: GroupSpec, g: Element) -> Element:
-    s = spec.s
-    out = [-x for x in g]
-    k = -g[-1]
-    for t, w in enumerate(spec.weights):
-        k -= w * g[s + 2 * t] * g[s + 2 * t + 1]
-    out[-1] = k
-    return tuple(out)
+    return spec.inv(g)
 
 
 def power(spec: GroupSpec, g: Element, m: int) -> Element:
@@ -226,13 +263,13 @@ def element_bound(rows) -> tuple[int, int]:
 
 def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:
     """[g, h] = g h g^-1 h^-1, computed by composition (not the bilinear form)."""
-    gh = multiply(spec, g, h)
-    return _multiply(spec, _multiply(spec, gh, _inverse(spec, g)), _inverse(spec, h))
+    mul, inv = spec.mul, spec.inv
+    return mul(mul(mul(g, h), inv(g)), inv(h))
 
 
 def conjugate(spec: GroupSpec, x: Element, g: Element) -> Element:
     """x g x^-1, computed by composition."""
-    return _multiply(spec, multiply(spec, x, g), _inverse(spec, x))
+    return spec.mul(spec.mul(x, g), spec.inv(x))
 
 
 def abelianize(spec: GroupSpec, g: Element) -> Vector:

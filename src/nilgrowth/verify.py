@@ -9,6 +9,8 @@ import random
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .autos import (
     extension_conjugacy_growth,
     identity_automorphism,
@@ -31,14 +33,18 @@ from .errors import StructuralError
 from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, l1_gcd_sums, positive_cube_gcd_sum
 from .groups import (
     GroupSpec,
+    array_dtype,
     central_element,
     commutator,
     commutator_form,
     conjugate,
     inverse,
+    inverse_array,
     multiply,
+    multiply_array,
     named_spec,
     power,
+    product_bound,
     standard_generators,
 )
 from .intlinalg import identity_matrix
@@ -51,8 +57,10 @@ def _rand_elt(rng, spec):
 
 
 def check_group_law(spec: GroupSpec, trials: int = 300, seed: int = 0) -> None:
+    """Associativity, inverses and powers of the tuple law, then the array law against it row by row."""
     rng = random.Random(seed)
     e = spec.identity()
+    gs, hs = [], []
     for _ in range(trials):
         g, h, k = (_rand_elt(rng, spec) for _ in range(3))
         if multiply(spec, multiply(spec, g, h), k) != multiply(spec, g, multiply(spec, h, k)):
@@ -61,6 +69,14 @@ def check_group_law(spec: GroupSpec, trials: int = 300, seed: int = 0) -> None:
             raise StructuralError(f"inverse fails at {g}")
         if power(spec, g, 5) != multiply(spec, power(spec, g, 3), power(spec, g, 2)):
             raise StructuralError(f"power law fails at {g}")
+        gs.append(g)
+        hs.append(h)
+    dtype = array_dtype(product_bound(spec, (6, 6), (6, 6)))
+    ga, ha = np.array(gs, dtype=dtype), np.array(hs, dtype=dtype)
+    if multiply_array(spec, ga, ha).tolist() != [list(multiply(spec, g, h)) for g, h in zip(gs, hs)]:
+        raise StructuralError("array and tuple products differ")
+    if inverse_array(spec, ga).tolist() != [list(inverse(spec, g)) for g in gs]:
+        raise StructuralError("array and tuple inverses differ")
 
 
 def check_relators(spec: GroupSpec) -> None:

@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetError, SpecError
-from .groups import Element, GroupSpec, _inverse, standard_generators
+from .groups import Element, GroupSpec, standard_generators
 
 DEFAULT_BUDGET = 10**8
 # Packed keys stay below this, so a key plus one step's delta cannot overflow int64.
@@ -76,7 +76,7 @@ def _step_set(spec: GroupSpec, gens: GeneratingSet) -> list[Element]:
     for g in gens.gens:
         if len(g) != spec.ncoords:
             raise SpecError("generator does not match spec")
-        for h in (g, _inverse(spec, g)):
+        for h in (g, spec.inv(g)):
             if h != e:
                 steps[h] = None
     return list(steps)

@@ -1,6 +1,7 @@
 """Core arithmetic oracles: presentation relators, associativity, frozen examples."""
 from __future__ import annotations
 
+import pickle
 import random
 from math import gcd
 
@@ -42,6 +43,31 @@ def rand_element(rng, spec, lim=9):
     return tuple(rng.randint(-lim, lim) for _ in range(spec.ncoords))
 
 
+def ref_multiply(spec, g, h):
+    """The loop law the generated kernels replace, kept as their reference: coordinates add, k takes the cross terms."""
+    check_element(spec, g)
+    check_element(spec, h)
+    s = spec.s
+    out = [x + y for x, y in zip(g, h)]
+    k = g[-1] + h[-1]
+    for t, w in enumerate(spec.weights):
+        k -= w * g[s + 2 * t + 1] * h[s + 2 * t]
+    out[-1] = k
+    return tuple(out)
+
+
+def ref_inverse(spec, g):
+    """The loop inverse the generated kernels replace."""
+    check_element(spec, g)
+    s = spec.s
+    out = [-x for x in g]
+    k = -g[-1]
+    for t, w in enumerate(spec.weights):
+        k -= w * g[s + 2 * t] * g[s + 2 * t + 1]
+    out[-1] = k
+    return tuple(out)
+
+
 def test_spec_validation():
     assert make_group_spec(0, 1).weights == (1,)
     assert make_group_spec(0, 2, (2,)).weights == (1, 2)
@@ -57,6 +83,30 @@ def test_spec_validation():
         make_group_spec(0, 2, (0,))
     with pytest.raises(SpecError):
         make_group_spec(-1, 1)
+
+
+@pytest.mark.parametrize("args", [(0, 2, [2.5]), (0, 1.0), ("1", 1)])
+def test_spec_refuses_non_integers(args):
+    # a float weight would give a non-integral k; a float r a float ncoords
+    with pytest.raises(SpecError, match="must be integers"):
+        make_group_spec(*args)
+
+
+def test_spec_stores_exact_ints():
+    spec = make_group_spec(np.int64(1), np.int64(2), [np.int64(3)])
+    assert spec == make_group_spec(1, 2, (3,))
+    assert all(type(x) is int for x in (spec.s, spec.r, *spec.delta, *spec.weights))
+
+
+def test_spec_kernels_stay_out_of_identity():
+    # repr, equality, hashing and pickling see only (s, r, delta)
+    spec = named_spec("HD2")
+    assert repr(spec) == "GroupSpec(s=0, r=2, delta=(2,), weights=(1, 2))"
+    twin = make_group_spec(0, 2, (2,))
+    assert spec == twin and hash(spec) == hash(twin) and spec.mul is not twin.mul
+    assert spec.to_json_dict() == {"s": 0, "r": 2, "delta": [2]}
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.mul((0, 1, 0, 0, 0), (1, 0, 0, 0, 0)) == (1, 1, 0, 0, -1)
 
 
 def test_named_specs():
@@ -326,3 +376,75 @@ def test_element_json_roundtrip():
     for bad in ({"z": [], "ab": [[2, -1], [0, 5]], "k": 1.5}, {"z": [], "ab": [[2.0, -1], [0, 5]], "k": 1}):
         with pytest.raises(SpecError):
             element_from_json_dict(spec, bad)
+
+
+_COORD = st.one_of(st.integers(-20, 20), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs(), st.booleans(), st.data())
+def test_kernels_match_reference_law(spec, as_list, data):
+    # coordinates past 2^63 stay exact Python ints; lists go in, tuples come out
+    g, h = (data.draw(st.tuples(*[_COORD] * spec.ncoords)) for _ in range(2))
+    gi, hi = (list(g), list(h)) if as_list else (g, h)
+    product, inv = multiply(spec, gi, hi), inverse(spec, gi)
+    assert type(product) is tuple and type(inv) is tuple
+    assert product == ref_multiply(spec, g, h)
+    assert inv == ref_inverse(spec, g)
+    assert conjugate(spec, gi, hi) == ref_multiply(spec, ref_multiply(spec, g, h), ref_inverse(spec, g))
+    expect = ref_multiply(spec, ref_multiply(spec, ref_multiply(spec, g, h), ref_inverse(spec, g)), ref_inverse(spec, h))
+    assert commutator(spec, gi, hi) == expect
+    # a wrong-length element raises the message check_element always gave, in either slot
+    n = data.draw(st.integers(0, spec.ncoords + 2).filter(lambda m: m != spec.ncoords))
+    bad = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    bad = bad if as_list else tuple(bad)
+    message = f"element has {n} coordinates, spec needs {spec.ncoords}"
+    for call in (
+        lambda: multiply(spec, bad, g),
+        lambda: multiply(spec, g, bad),
+        lambda: inverse(spec, bad),
+        lambda: conjugate(spec, g, bad),
+        lambda: commutator(spec, bad, h),
+    ):
+        with pytest.raises(SpecError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_kernels_on_3000_pairs():
+    # k as one expression over 3000 pairs overflows the compiler's recursion limit; one statement per pair does not
+    spec = make_group_spec(0, 3000, [2 ** (t // 1000) for t in range(2999)])
+    rng = random.Random(13)
+    for _ in range(3):
+        g, h = rand_element(rng, spec), rand_element(rng, spec)
+        assert multiply(spec, g, h) == ref_multiply(spec, g, h)
+        assert inverse(spec, g) == ref_inverse(spec, g)
+        assert commutator(spec, g, h) == central_element(
+            spec, commutator_form(spec, abelianize(spec, g), abelianize(spec, h))
+        )
+
+
+def test_group_law_check_compares_array_and_tuple_routes(monkeypatch):
+    import nilgrowth.verify as verify
+    from nilgrowth.errors import StructuralError
+
+    # weights past int64 put the sampled rows on object arrays of exact ints
+    for spec in (named_spec("ZxH1"), make_group_spec(1, 2, (2**70,))):
+        verify.check_group_law(spec, trials=40)
+
+    def off_by_one(law):
+        def broken(spec, *rows):
+            out = law(spec, *rows)
+            out[-1, -1] += 1
+            return out
+
+        return broken
+
+    for name, law, message in (
+        ("multiply_array", multiply_array, "array and tuple products differ"),
+        ("inverse_array", inverse_array, "array and tuple inverses differ"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, off_by_one(law))
+            with pytest.raises(StructuralError, match=message):
+                verify.check_group_law(named_spec("H2"), trials=40)
