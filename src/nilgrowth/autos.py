@@ -363,7 +363,7 @@ def twisted_growth_structural(
         if gens is None:
             raise SpecError("need gens or a precomputed ball table")
         table = enumerate_ball(spec, gens, n, budget=budget)
-    return cumulative_counts(class_lengths(spec, table, f.kappa).values(), n)
+    return class_lengths(spec, table, f.kappa).counts(n)
 
 
 def classes_per_abelianized_point(result: TwistedGrowthResult) -> dict[Vector, int]:
@@ -412,6 +412,8 @@ def extension_conjugacy_growth(
     """
     if order < 1:
         raise SpecError("order must be >= 1")
+    if n < 0:
+        raise SpecError("radius must be nonnegative")
     m = automorphism_order(spec, f, order)
     if m is None or order % m:
         raise SpecError(f"automorphism does not have order dividing {order}")
@@ -426,8 +428,8 @@ def extension_conjugacy_growth(
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
         dtype = array_dtype(_image_bound(spec, f, table.codec.reach))
         merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords.astype(dtype, copy=False))))
-        lengths += [ct + l for l in part_lengths(label, table.lengths)]
-    return cumulative_counts(lengths, n)
+        lengths.append(ct + part_lengths(label, table.lengths))
+    return cumulative_counts(np.concatenate(lengths), n)
 
 
 def coset_count(sublattice_basis, dim: int, n: int) -> int:

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -315,7 +316,9 @@ def cmd_verify(args) -> int:
     return EXIT_STRUCTURAL if failed else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nilgrowth",
         description=__doc__,

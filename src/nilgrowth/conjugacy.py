@@ -8,7 +8,9 @@ reproduce its counts on every computed ball.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
@@ -42,7 +44,6 @@ from .words import (
     cumulative_counts,
     enumerate_ball,
     resolve_budget,
-    sorted_difference,
     sorted_unique,
     standard_generating_set,
 )
@@ -120,11 +121,11 @@ def merge_images(label: np.ndarray, image: np.ndarray) -> None:
     merge_parts(label, np.broadcast_to(np.arange(image.shape[-1]), image.shape)[hit], image[hit])
 
 
-def part_lengths(label: np.ndarray, lengths: np.ndarray) -> list[int]:
+def part_lengths(label: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The least length in each part of a compressed root-pointer array."""
     least = lengths.copy()
     np.minimum.at(least, label, lengths)
-    return least[label == np.arange(len(label))].tolist()
+    return least[label == np.arange(len(label))]
 
 
 # Rows of one block of the (conjugator row x ball) product in merge_conjugates.
@@ -151,7 +152,43 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
         merge_images(label, table.index(multiply_array(spec, multiply_array(spec, fx[part], coords), xinv[part])))
 
 
-def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict[ConjClassKey, int]:
+class ClassLengths(Mapping):
+    """Read-only mapping ConjClassKey -> least word length, held as two arrays.
+
+    packed holds the sorted packed class keys body * radix + r (see
+    class_lengths) and lengths the least length of each.  len and counts read
+    the arrays alone; the ConjClassKey objects are decoded once, vectorised,
+    on the first lookup or iteration.
+    """
+
+    def __init__(self, spec: GroupSpec, codec, radix: int, kappa: Vector, packed: np.ndarray, lengths: np.ndarray):
+        self.spec, self.codec, self.radix, self.kappa = spec, codec, radix, kappa
+        self.packed, self.lengths = packed, lengths
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def counts(self, n: int) -> list[int]:
+        """c(m) for m = 0..n: how many class keys have least length <= m."""
+        return cumulative_counts(self.lengths, n)
+
+    @cached_property
+    def _decoded(self) -> dict[ConjClassKey, int]:
+        codec = self.codec
+        body, resid = np.divmod(self.packed, self.radix)
+        body *= codec.radix_k
+        resid -= np.where(_class_moduli(self.spec, codec, body, self.kappa) == 0, codec.k_bound, 0)
+        abels = map(tuple, codec.coords(body)[:, :-1].tolist())
+        return dict(zip(map(ConjClassKey, abels, resid.tolist()), self.lengths.tolist()))
+
+    def __getitem__(self, key: ConjClassKey) -> int:
+        return self._decoded[key]
+
+    def __iter__(self):
+        return iter(self._decoded)
+
+
+def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> ClassLengths:
     """Minimal word length per class key (abel, k mod class_modulus(abel, kappa)) over the ball.
 
     kappa = () gives conjugacy classes; for the automorphism (I, kappa) the
@@ -159,8 +196,9 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict
     key packs as body * radix + r, with r = k mod m for the modulus m > 0 and
     r = k + k_bound (the k digit itself) when m = 0.  The radix covers both
     the k digit and the largest modulus over the ball, which a shift kappa
-    can push past the k digit.  The first sphere that meets a class key
-    gives its minimal length.
+    can push past the k digit.  Each sphere's distinct class keys are stacked
+    in level order and stably sorted once, so the first entry of each key
+    carries its least length.
     """
     if table.spec != spec:
         raise SpecError("ball table was enumerated for another spec")
@@ -172,20 +210,18 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> dict
     bodies = codec.strides[0] * codec.radices[0] // codec.radix_k
     if bodies * radix >= KEY_LIMIT:
         raise SpecError(f"class keys of this ball do not fit 64-bit packed keys (radix {radix})")
-    seen = np.empty(0, dtype=np.int64)
-    lengths: dict[ConjClassKey, int] = {}
-    for level, keys in enumerate(table.spheres):
+    per_sphere = []
+    for keys in table.spheres:
         body, digit = np.divmod(keys, codec.radix_k)
         m = _class_moduli(spec, codec, keys, kappa)
         resid = np.where(m > 0, (digit - codec.k_bound) % np.maximum(m, 1), digit)
-        fresh = sorted_difference(sorted_unique(body * radix + resid), seen)
-        seen = np.sort(np.concatenate((seen, fresh)))
-        body, resid = np.divmod(fresh, radix)
-        body *= codec.radix_k
-        central = _class_moduli(spec, codec, body, kappa) == 0
-        for g, r, is_central in zip(codec.unpack(body), resid.tolist(), central.tolist()):
-            lengths[ConjClassKey(g[:-1], r - codec.k_bound if is_central else r)] = level
-    return lengths
+        per_sphere.append(sorted_unique(body * radix + resid))
+    keys = np.concatenate(per_sphere)
+    levels = np.repeat(np.arange(len(per_sphere)), [len(k) for k in per_sphere])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return ClassLengths(spec, codec, radix, kappa, keys[first], levels[order][first])
 
 
 def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray, kappa: Vector) -> np.ndarray:
@@ -209,7 +245,7 @@ def conjugacy_growth_exact(
         table = enumerate_ball(spec, gens, n, budget=budget)
     elif table.radius < n:
         raise SpecError("supplied ball table is too small")
-    return cumulative_counts(class_lengths(spec, table).values(), n)
+    return class_lengths(spec, table).counts(n)
 
 
 def conjugacy_growth_oracle(
@@ -328,19 +364,6 @@ def colinear_commute_check(spec: GroupSpec, g: Element, h: Element) -> tuple[boo
     return commute, colinear
 
 
-def _product_pair_counts(lengths_a: list[int], lengths_b: list[int], n: int) -> list[int]:
-    """Counts of class pairs with length sum <= m, m = 0..n."""
-    prefix_b = cumulative_counts(lengths_b, n)
-    out = []
-    for m in range(n + 1):
-        cnt = 0
-        for la in lengths_a:
-            if la <= m:
-                cnt += prefix_b[m - la]
-        out.append(cnt)
-    return out
-
-
 @dataclass
 class ProductReport:
     n: int
@@ -370,14 +393,12 @@ def direct_product_inequality_check(
     The product is modeled by pairwise keys: a class of A x B meets the m-ball
     iff its component class lengths sum to <= m (lengths add across factors).
     """
-    lengths = []
-    counts = []
-    for spec in (spec_a, spec_b):
-        table = enumerate_ball(spec, standard_generating_set(spec), 2 * n, budget=budget)
-        ls = [l for l in class_lengths(spec, table).values() if l <= 2 * n]
-        lengths.append(ls)
-        counts.append(cumulative_counts(ls, 2 * n))
-    product_counts = _product_pair_counts(lengths[0], lengths[1], 2 * n)
+    counts = [
+        class_lengths(spec, enumerate_ball(spec, standard_generating_set(spec), 2 * n, budget=budget)).counts(2 * n)
+        for spec in (spec_a, spec_b)
+    ]
+    # Pairs with la + lb <= m: A's length histogram convolved with B's cumulative counts.
+    product_counts = np.convolve(np.diff(counts[0], prepend=0), counts[1])[: 2 * n + 1].tolist()
     report = ProductReport(
         n=n, counts_a=counts[0], counts_b=counts[1], counts_product=product_counts
     )

@@ -44,12 +44,10 @@ def resolve_budget(budget: int | None) -> int:
 
 
 def cumulative_counts(lengths, n: int) -> list[int]:
-    """Entry m, for m = 0..n, counts the given lengths that are <= m."""
-    hist = [0] * (n + 1)
-    for l in lengths:
-        if l <= n:
-            hist[l] += 1
-    return list(accumulate(hist))
+    """Entry m, for m = 0..n, counts the given nonnegative lengths (an int array or any iterable of ints) that are <= m."""
+    if not isinstance(lengths, np.ndarray):
+        lengths = np.fromiter(lengths, dtype=np.int64)
+    return np.cumsum(np.bincount(lengths[lengths <= n], minlength=max(n + 1, 0))).tolist()
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,8 @@ def _spheres(codec: KeyCodec, n: int, cap: int):
     cur = np.array([codec.identity], dtype=np.int64)
     total = 1
     for level in range(1, n + 1):
-        nxt = sorted_difference(sorted_difference(sorted_unique(codec.expand(cur)), cur), prev)
+        # prev and cur are disjoint sorted runs, which the stable sort merges in linear time.
+        nxt = sorted_difference(sorted_unique(codec.expand(cur)), np.sort(np.concatenate((prev, cur)), kind="stable"))
         yield level, nxt
         total += len(nxt)
         if total > cap:

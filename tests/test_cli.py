@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_STRUCTURAL, EXIT_USAGE, load_spec, main
+from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_STRUCTURAL, EXIT_USAGE, build_parser, load_spec, main
 from nilgrowth.errors import SpecError
 
 
@@ -41,6 +41,38 @@ def test_manifest_sidecar(tmp_path):
     assert manifest["spec"] == {"s": 0, "r": 1, "delta": []}
     assert manifest["output"] == "ball.csv"
     assert out.read_text().splitlines()[0] == "# manifest: ball.csv.manifest.json"
+
+
+def test_back_to_back_calls_match_fresh_calls(capsys):
+    # the parser is built once per process, and each call still parses into a fresh namespace
+    calls = [
+        ["conj", "--spec", "H1", "--radius", "4"],
+        ["gcdsum", "--dim", "2", "--radius", "5"],
+        ["conj", "--spec", "H1", "--radius", "4", "--mode", "bounds"],
+        ["conj", "--radius", "x"],
+        ["conj", "--spec", "H1", "--radius", "4"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [run(argv) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert fresh[0][1].splitlines()[0] == fresh[4][1].splitlines()[0] == "n,classes"
+    assert fresh[2][1].splitlines()[0] == "n,lower,upper,central_exact"
+    parser = build_parser()
+    assert parser is build_parser()
+    parser.parse_args(["gcdsum", "--dim", "3", "--radius", "2", "--method", "sieve", "--budget", "9"])
+    args = parser.parse_args(["conj", "--radius", "3"])
+    assert not hasattr(args, "dim") and args.mode == "exact" and args.budget is None
 
 
 def test_budget_exit_code(tmp_path):
@@ -142,6 +174,9 @@ def test_twisted_and_extension(tmp_path):
         ["extension", "--spec", "H1", "--radius", "4", "--auto", str(auto), "--order", "2", "--out", str(out2)]
     )
     assert code == EXIT_OK
+    # a negative radius is a usage error here too, not an empty table
+    argv = ["extension", "--spec", "H1", "--radius", "-1", "--auto", str(auto), "--order", "2"]
+    assert main(argv + ["--out", str(tmp_path / "neg.csv")]) == EXIT_USAGE
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"M": [[2, 0], [0, 1]], "kappa": [0, 0]}))
     assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(bad)]) == EXIT_USAGE

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilgrowth.autos import make_automorphism, twisted_growth_bruteforce
+from nilgrowth.autos import make_automorphism, twisted_growth_bruteforce, twisted_growth_structural
 from nilgrowth.conjugacy import (
     ConjClassKey,
     central_ball_window,
@@ -104,6 +104,54 @@ def test_class_lengths_with_kappa_match_elementwise_keys(name, radius, kappa):
     assert all(c <= b for c, b in zip(counts, brute.counts))
     if wide is not None:
         assert counts == brute.counts
+
+
+@st.composite
+def _class_table_cases(draw):
+    r = draw(st.integers(0, 2))
+    s = draw(st.integers(0 if r else 1, 1))
+    spec = make_group_spec(s, r, (draw(st.integers(1, 3)),) if r == 2 else ())
+    radius = draw(st.integers(0, 4 if spec.dim <= 3 else 3))
+    kappa = draw(st.one_of(st.just(()), st.tuples(*[st.integers(-12, 12)] * spec.dim)))
+    return spec, radius, kappa, draw(st.integers(-1, radius + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_class_table_cases())
+# The modulus gcd(-10, -2) = 10 at abel (-1, 0) passes the k digit (radix 5) of the radius-2 ball.
+@example((named_spec("H1"), 2, (-10, -1), 2))
+@example((named_spec("HD2"), 3, (), 3))
+def test_class_table_matches_decoded_mapping(case):
+    spec, radius, kappa, n = case
+    table = enumerate_ball(spec, standard_generating_set(spec), radius)
+    lengths = class_lengths(spec, table, kappa)
+    decoded = dict(lengths)
+    assert decoded == dict(lengths.items())
+    assert lengths.counts(n) == cumulative_counts(decoded.values(), n)
+    assert len(lengths) == len(decoded)
+    reference = {}
+    for g, l in table.entries.items():
+        reference.setdefault(_twisted_key(spec, g, kappa), l)
+    assert lengths == reference
+    assert all(lengths[key] == l for key, l in reference.items())
+
+
+def test_counts_build_no_class_key_objects(monkeypatch):
+    import nilgrowth.conjugacy as conjugacy
+
+    def refuse(*args):
+        raise AssertionError("a count built a ConjClassKey")
+
+    monkeypatch.setattr(conjugacy, "ConjClassKey", refuse)
+    spec = named_spec("H1")
+    gens = standard_generating_set(spec)
+    table = enumerate_ball(spec, gens, 6)
+    assert conjugacy_growth_exact(spec, gens, 6, table=table) == conjugacy_growth_oracle(spec, gens, 6)
+    f = make_automorphism(spec, identity_matrix(2), (2, -1))
+    assert twisted_growth_structural(spec, f, 4, gens=gens) == twisted_growth_bruteforce(spec, gens, f, 4, 10).counts
+    assert direct_product_inequality_check(spec, named_spec("H2"), 2).ok
+    with pytest.raises(AssertionError, match="ConjClassKey"):
+        dict(class_lengths(spec, table))
 
 
 def test_class_lengths_residue_past_the_k_digit():

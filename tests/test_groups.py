@@ -109,6 +109,21 @@ def test_spec_kernels_stay_out_of_identity():
     assert copy == spec and copy.mul((0, 1, 0, 0, 0), (1, 0, 0, 0, 0)) == (1, 1, 0, 0, -1)
 
 
+def test_law_code_is_shared_per_s_r():
+    # the code is compiled once per (s, r); each spec runs it with its own weights and names its own ncoords
+    h2, hd2 = named_spec("H2"), make_group_spec(0, 2, (2,))
+    assert h2.mul.__code__ is hd2.mul.__code__ and h2.inv.__code__ is hd2.inv.__code__
+    assert h2.mul.__globals__["spec"] is h2 and hd2.inv.__globals__["spec"] is hd2
+    b2, a2 = (0, 0, 0, 1, 0), (0, 0, 1, 0, 0)
+    assert h2.mul(b2, a2) == (0, 0, 1, 1, -1) and hd2.mul(b2, a2) == (0, 0, 1, 1, -2)
+    for spec in (h2, hd2, named_spec("H1"), make_group_spec(1, 2, (2,))):
+        message = f"element has 2 coordinates, spec needs {spec.ncoords}"
+        for call in (lambda: spec.mul((1, 2), spec.identity()), lambda: spec.inv((1, 2))):
+            with pytest.raises(SpecError) as err:
+                call()
+            assert str(err.value) == message
+
+
 def test_named_specs():
     assert named_spec("H1").dim == 2
     assert named_spec("H2").weights == (1, 1)

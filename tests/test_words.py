@@ -16,6 +16,7 @@ from nilgrowth.words import (
     bass_guivarch_exponent,
     central_growth,
     check_generates,
+    cumulative_counts,
     enumerate_ball,
     growth_exponent_fit,
     standard_generating_set,
@@ -90,6 +91,15 @@ def test_central_growth(h1_ball12):
     assert all(a <= b for a, b in zip(beta, beta[1:]))
     # parity: nonzero c^k needs even length, so beta only grows at even radii
     assert beta[5] == beta[4] and beta[7] == beta[6]
+
+
+def test_cumulative_counts_inputs():
+    for lengths in (np.array([0, 2, 2, 5]), np.array([0, 2, 2, 5], dtype=np.int8), [0, 2, 2, 5], iter((5, 2, 0, 2))):
+        counts = cumulative_counts(lengths, 3)
+        assert counts == [1, 1, 3, 3] and all(type(c) is int for c in counts)
+    assert cumulative_counts({"a": 1}.values(), 2) == [0, 1, 1]
+    assert cumulative_counts([], 2) == [0, 0, 0]
+    assert cumulative_counts(np.empty(0, dtype=np.int64), -1) == cumulative_counts([3], -1) == []
 
 
 def test_bass_guivarch():
