@@ -16,7 +16,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import BudgetError, SpecError, StructuralError
+from .errors import SpecError, StructuralError
 from .groups import (
     Element,
     GroupSpec,
@@ -47,7 +47,7 @@ from .intlinalg import (
     vec_mat,
 )
 from .conjugacy import class_lengths, merge_conjugates, merge_images, new_labels, part_lengths
-from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, resolve_budget
+from .words import BallTable, GeneratingSet, check_budget, cumulative_counts, enumerate_ball
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -265,33 +265,18 @@ def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, se
     return report
 
 
-def _twisted_partition(
-    spec: GroupSpec,
-    gens: GeneratingSet,
-    f: Automorphism,
-    table: BallTable,
-    radii: tuple[int, ...],
-    budget: int | None = None,
-):
-    """Root-pointer labels (see merge_parts) of the ball's parts under h -> f(x) h x^{-1}, x in the conjugator ball.
+def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii: tuple[int, ...]):
+    """Root-pointer labels (see merge_parts) of table's parts under h -> f(x) h x^{-1}, x in ball.
 
-    One conjugator ball, of radius radii[-1], is merged in sphere prefixes: the
-    same label array is yielded once the conjugators of length <= radius are
-    merged, for each radius in radii (ascending).  x = y c^k gives
+    The conjugators, the elements of ball of length <= radii[-1], are merged in
+    sphere prefixes: the same label array is yielded once those of length <=
+    radius are merged, for each radius in radii (ascending).  x = y c^k gives
     f(x) h x^{-1} = f(y) h y^{-1} when eps = +1, so then only one conjugator
-    per abelian body, at the body's least length, is merged.  The ball and the
-    conjugator ball are charged against one budget.
+    per abelian body, at the body's least length, is merged.  table is a
+    prefix of ball, so the two share one enumeration and one budget.
     """
-    cap = resolve_budget(budget)
-    try:
-        conj = enumerate_ball(spec, gens, radii[-1], budget=cap - len(table.keys))
-    except BudgetError as exc:
-        raise BudgetError(
-            f"the radius-{table.radius} ball and the radius-{radii[-1]} conjugator ball "
-            f"need more than {cap} stored elements",
-            needed=len(table.keys) + exc.needed,
-            budget=cap,
-        ) from None
+    spec = table.spec
+    conj = ball.prefix(radii[-1])
     codec = conj.codec
     keys, lengths = conj.keys, conj.lengths
     if f.eps == 1:
@@ -328,8 +313,9 @@ def twisted_growth_bruteforce(
     radius = conjugator_radius if conjugator_radius is not None else n + 2
     if min(n, radius) < 0:
         raise SpecError("radius must be nonnegative")
-    table = enumerate_ball(spec, gens, n, budget=budget)
-    passes = _twisted_partition(spec, gens, f, table, (radius, radius + 2), budget=budget)
+    ball = enumerate_ball(spec, gens, max(n, radius + 2), budget=budget)
+    table = ball.prefix(n)
+    passes = _twisted_partition(f, ball, table, (radius, radius + 2))
     counts = cumulative_counts(part_lengths(next(passes), table.lengths), n)
     label = next(passes)
     recheck = cumulative_counts(part_lengths(label, table.lengths), n)
@@ -348,9 +334,8 @@ def twisted_growth_structural(
     spec: GroupSpec,
     f: Automorphism,
     n: int,
-    gens: GeneratingSet | None = None,
+    gens: GeneratingSet,
     budget: int | None = None,
-    table: BallTable | None = None,
 ) -> list[int]:
     """Exact twisted counts for M = I, eps = +1 via the shifted-gcd class key.
 
@@ -359,11 +344,7 @@ def twisted_growth_structural(
     """
     if f.m != identity_matrix(spec.dim) or f.eps != 1:
         raise SpecError("structural twisted counts need M = I and eps = +1")
-    if table is None:
-        if gens is None:
-            raise SpecError("need gens or a precomputed ball table")
-        table = enumerate_ball(spec, gens, n, budget=budget)
-    return class_lengths(spec, table, f.kappa).counts(n)
+    return class_lengths(spec, enumerate_ball(spec, gens, n, budget=budget), f.kappa).counts(n)
 
 
 def classes_per_abelianized_point(result: TwistedGrowthResult) -> dict[Vector, int]:
@@ -408,7 +389,8 @@ def extension_conjugacy_growth(
     """Conjugacy growth of G = H x|_phi Z/order with gens + t, |t^i h| = min(i, order-i) + |h|.
 
     Coset i carries the phi^i-twisted partition of H; conjugation by t then
-    merges the parts of h and phi(h).
+    merges the parts of h and phi(h).  One (n+2)-ball serves every coset: its
+    radius-(n - |t^i|) prefix is counted, with conjugators up to 2 longer.
     """
     if order < 1:
         raise SpecError("order must be >= 1")
@@ -417,14 +399,15 @@ def extension_conjugacy_growth(
     m = automorphism_order(spec, f, order)
     if m is None or order % m:
         raise SpecError(f"automorphism does not have order dividing {order}")
+    ball = enumerate_ball(spec, gens, n + 2, budget=budget)
     lengths = []
     for i in range(order):
         ct = min(i, order - i)
         ni = n - ct
         if ni < 0:
             continue
-        table = enumerate_ball(spec, gens, ni, budget=budget)
-        (label,) = _twisted_partition(spec, gens, automorphism_power(spec, f, i), table, (ni + 2,), budget=budget)
+        table = ball.prefix(ni)
+        (label,) = _twisted_partition(automorphism_power(spec, f, i), ball, table, (ni + 2,))
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
         dtype = array_dtype(_image_bound(spec, f, table.codec.reach))
         merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords.astype(dtype, copy=False))))
@@ -440,6 +423,7 @@ def coset_count(sublattice_basis, dim: int, n: int) -> int:
     if basis and rank(basis) != len(basis):
         raise SpecError("basis rows must be independent")
     hnf = hermite_normal_form(basis) if basis else ()
+    check_budget((2 * n + 1) ** dim, None, "points of the coset cube")
     reps = set()
     for point in iter_product(range(-n, n + 1), repeat=dim):
         reps.add(hnf_reduce(hnf, point))

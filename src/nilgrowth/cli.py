@@ -252,7 +252,7 @@ def cmd_extension(args) -> int:
 def cmd_embeddings(args) -> int:
     started = time.time()
     spec = load_spec(args.spec)
-    rep = hd_embeddings(spec)
+    rep = hd_embeddings(spec, budget=args.budget)
     report = {
         "gamma": list(rep.gamma),
         "index_gamma1": rep.index_gamma1,

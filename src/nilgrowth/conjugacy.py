@@ -15,7 +15,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import BudgetError, SpecError, StructuralError
+from .errors import SpecError, StructuralError
 from .gcdsums import l1_gcd_sums
 from .groups import (
     Element,
@@ -41,9 +41,9 @@ from .words import (
     GeneratingSet,
     _step_set,
     central_growth,
+    check_budget,
     cumulative_counts,
     enumerate_ball,
-    resolve_budget,
     sorted_unique,
     standard_generating_set,
 )
@@ -238,21 +238,19 @@ def conjugacy_growth_exact(
     gens: GeneratingSet,
     n: int,
     budget: int | None = None,
-    table: BallTable | None = None,
 ) -> list[int]:
     """c(m) for m = 0..n: distinct class keys meeting the m-ball."""
-    if table is None:
-        table = enumerate_ball(spec, gens, n, budget=budget)
-    elif table.radius < n:
-        raise SpecError("supplied ball table is too small")
-    return class_lengths(spec, table).counts(n)
+    return class_lengths(spec, enumerate_ball(spec, gens, n, budget=budget)).counts(n)
+
+
+# The orbit oracle refuses radii past this: it closes the (n+2)-ball under conjugation, one row per step.
+ORACLE_MAX_RADIUS = 10
 
 
 def conjugacy_growth_oracle(
     spec: GroupSpec,
     gens: GeneratingSet,
     n: int,
-    guard: int = 10,
     budget: int | None = None,
 ) -> list[int]:
     """Brute-force counts: close the (n+2)-ball under conjugation by generators.
@@ -261,8 +259,8 @@ def conjugacy_growth_oracle(
     +2 margin lets same-class ball members connect through one-step detours
     (a single generator conjugation moves word length by at most 2).
     """
-    if n > guard:
-        raise SpecError(f"oracle guarded at radius {guard}; asked for {n}")
+    if n > ORACLE_MAX_RADIUS:
+        raise SpecError(f"oracle guarded at radius {ORACLE_MAX_RADIUS}; asked for {n}")
     table = enumerate_ball(spec, gens, n + 2, budget=budget)
     steps = np.array(_step_set(spec, gens), dtype=object)
     label = new_labels(len(table.keys))
@@ -294,27 +292,30 @@ class BoundsReport:
         return (self.lower, self.upper)
 
 
+# The sandwich bounds count beta_<c> exactly by BFS up to this radius.
+CENTRAL_EXACT_RADIUS = 12
+
+
 def conjugacy_growth_bounds(
     spec: GroupSpec,
     radius: int,
-    cache_radius: int = 12,
     budget: int | None = None,
 ) -> list[BoundsReport]:
     """Sandwich bounds for n = 0..radius: beta_<c>(n) plus l1 gcd sums of radius n-2 and n.
 
-    beta_<c> is BFS-exact up to cache_radius (one central_growth call) and the
-    central_ball_window estimate beyond it; the gcd sums come from one sieve.
+    beta_<c> is BFS-exact up to CENTRAL_EXACT_RADIUS (one central_growth call)
+    and the central_ball_window estimate beyond it; the gcd sums come from one sieve.
     """
     if spec.s != 0 or spec.r == 0 or any(d != 1 for d in spec.delta):
         raise SpecError("sandwich bounds are proven for H_r only (s=0, trivial D)")
     if radius < 0:
         raise SpecError("radius must be nonnegative")
     sums = l1_gcd_sums(2 * spec.r, radius, method="sieve", budget=budget)
-    beta = central_growth(spec, standard_generating_set(spec), max(0, min(radius, cache_radius)), budget=budget)
+    beta = central_growth(spec, standard_generating_set(spec), min(radius, CENTRAL_EXACT_RADIUS), budget=budget)
     reports = []
     for n in range(radius + 1):
         inner = sums[n - 2] if n >= 2 else 0
-        exact = n <= cache_radius
+        exact = n <= CENTRAL_EXACT_RADIUS
         lo, hi = (beta[n], beta[n]) if exact else central_ball_window(n)
         reports.append(BoundsReport(n=n, lower=lo + inner, upper=hi + sums[n], central_exact=exact))
     return reports
@@ -337,12 +338,10 @@ def conjugacy_length_window_check(
     spec: GroupSpec,
     n: int,
     budget: int | None = None,
-    table: BallTable | None = None,
 ) -> WindowReport:
     if spec.s != 0 or spec.r == 0 or any(d != 1 for d in spec.delta):
         raise SpecError("length window is proven for H_r only (s=0, trivial D)")
-    if table is None:
-        table = enumerate_ball(spec, standard_generating_set(spec), n, budget=budget)
+    table = enumerate_ball(spec, standard_generating_set(spec), n, budget=budget)
     report = WindowReport(n=n, classes_checked=0)
     for key, length in class_lengths(spec, table).items():
         if length > n or all(x == 0 for x in key.abel):
@@ -424,11 +423,11 @@ class EmbeddingReport:
     phi_homomorphism_ok: bool
 
 
-def _coset_count(spec: GroupSpec, moves: np.ndarray, canonical, cap: int) -> int:
+def _coset_count(spec: GroupSpec, moves: np.ndarray, canonical, budget: int | None) -> int:
     """How many cosets left multiplication by moves reaches from the identity's.
 
     canonical maps (rows, ncoords) arrays to their cosets' representatives, so
-    the work is bounded by the index; past cap stored cosets it raises BudgetError.
+    the work is bounded by the index; the stored cosets go through the budget.
     """
     frontier = canonical(np.zeros((1, spec.ncoords), dtype=np.int64))
     seen = set(map(tuple, frontier.tolist()))
@@ -436,8 +435,7 @@ def _coset_count(spec: GroupSpec, moves: np.ndarray, canonical, cap: int) -> int
         images = canonical(multiply_array(spec, moves[:, None], frontier).reshape(-1, spec.ncoords))
         fresh = set(map(tuple, images.tolist())) - seen
         seen |= fresh
-        if len(seen) > cap:
-            raise BudgetError(f"the coset walk needs more than {cap} stored cosets", needed=len(seen), budget=cap)
+        check_budget(len(seen), budget, "stored cosets of the coset walk")
         frontier = np.array(sorted(fresh), dtype=np.int64).reshape(-1, spec.ncoords)
     return len(seen)
 
@@ -487,7 +485,7 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
         and ((0 <= k) & (k < dmax)).all()
         and ((0 <= a) & (a < gamma)).all()
     )
-    index1 = _coset_count(spec, gens, reduce, resolve_budget(budget))
+    index1 = _coset_count(spec, gens, reduce, budget)
 
     # phi into H_r: coordinates (i_t, j_t, k) -> (w_t i_t, j_t, k)
     hr = make_group_spec(0, r, (1,) * (r - 1))
@@ -508,7 +506,7 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
         out[:, 0:-1:2] = y[:, 0:-1:2] % spec.weights
         return out
 
-    index2 = _coset_count(hr, np.array(standard_generators(hr)), reduce2, resolve_budget(budget))
+    index2 = _coset_count(hr, np.array(standard_generators(hr)), reduce2, budget)
 
     report = EmbeddingReport(
         spec=spec,

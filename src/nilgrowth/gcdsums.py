@@ -25,8 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetError, SpecError
-from .words import resolve_budget
+from .errors import SpecError
+from .words import check_budget
 
 CUBE = "cube"
 L1 = "l1"
@@ -70,21 +70,15 @@ def cube_ball_count(dim: int, radius: int) -> int:
     return (2 * radius + 1) ** dim
 
 
-def _check_budget(needed: int, budget: int | None, what: str) -> None:
-    cap = resolve_budget(budget)
-    if needed > cap:
-        raise BudgetError(f"{what}, beyond the {cap} cap", needed=needed, budget=cap)
-
-
 def _check_points(points: int, budget: int | None) -> None:
     if points >= POINT_LIMIT:
         raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
-    _check_budget(points, budget, f"ball has {points} points")
+    check_budget(points, budget, "points of the gcd ball")
 
 
 def _totients(limit: int, budget: int | None) -> np.ndarray:
     """phi(0..limit) by a sieve over primes; the limit + 1 cells go through the budget."""
-    _check_budget(limit + 1, budget, f"totient sieve needs {limit + 1} cells")
+    check_budget(limit + 1, budget, "cells of the totient sieve")
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
@@ -115,7 +109,7 @@ def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
     flat = hist.ravel()
     support = np.flatnonzero(flat)
     cells = len(support) * len(values)
-    _check_budget(cells, budget, f"gcd fold needs {cells} cells")
+    check_budget(cells, budget, "cells of the gcd fold")
     used, gcd = np.divmod(support, width)
     out = np.zeros_like(flat)
     step = max(1, FOLD_BLOCK // len(values))
@@ -133,7 +127,7 @@ def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
 def _direct_sums(axes: list, rows: int, budget: int | None) -> list[int]:
     """Fold every axis into the empty point; entry u is the gcd sum over points of used radius u."""
     width = 1 + max(int(values.max()) for _, values, _ in axes)
-    _check_budget(rows * width, budget, f"gcd histogram needs {rows * width} cells")
+    check_budget(rows * width, budget, "cells of the gcd histogram")
     hist = np.zeros((rows, width), dtype=np.int64)
     hist[0, 0] = 1
     for axis in axes:

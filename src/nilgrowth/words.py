@@ -31,16 +31,25 @@ KEY_LIMIT = 2**62
 
 
 def resolve_budget(budget: int | None) -> int:
-    """Explicit budget, else NILGROWTH_BUDGET from the environment, else 10^8 elements."""
-    if budget is not None:
-        return budget
-    raw = os.environ.get("NILGROWTH_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(f"NILGROWTH_BUDGET must be an integer, got {raw!r}") from None
+    """Explicit budget, else NILGROWTH_BUDGET from the environment, else 10^8 elements; never negative."""
+    if budget is None:
+        raw = os.environ.get("NILGROWTH_BUDGET")
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise SpecError(f"NILGROWTH_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise SpecError(f"budget must be nonnegative, got {budget}")
+    return budget
+
+
+def check_budget(needed: int, budget: int | None, what: str) -> None:
+    """The one budget check: BudgetError when `needed` stored items, named by `what`, pass the resolved budget."""
+    cap = resolve_budget(budget)
+    if needed > cap:
+        raise BudgetError(f"{what}: {needed} needed, beyond the {cap} cap", needed=needed, budget=cap)
 
 
 def cumulative_counts(lengths, n: int) -> list[int]:
@@ -85,8 +94,7 @@ class KeyCodec:
 
     Coordinate p is stored as the digit x_p + bounds[p] in [0, radices[p]);
     k is the last, least significant digit, so key // radix_k is the body
-    (every coordinate but k).  The k bound also covers the class modulus
-    gcd_t(w_t i_t, w_t j_t), so a class residue fits in a k digit.
+    (every coordinate but k).
     """
 
     def __init__(self, spec: GroupSpec, steps: list[Element], n: int):
@@ -95,7 +103,6 @@ class KeyCodec:
         pairs = [(w, spec.s + 2 * t) for t, w in enumerate(spec.weights)]
         # g*x adds -w_t j_t(g) i_t(x) to k, and |j_t(g)| <= (m - 1) max|j_t| before step m.
         k_bound = n * top[-1] + sum(w * top[a] * top[a + 1] for w, a in pairs) * (n * (n - 1) // 2)
-        k_bound = max([k_bound] + [w * max(body[a], body[a + 1]) for w, a in pairs])
         self.bounds = body + [k_bound]
         self.radices = [2 * b + 1 for b in self.bounds]
         strides = [1]
@@ -130,12 +137,14 @@ class KeyCodec:
     def pack_rows(self, coords: np.ndarray) -> np.ndarray:
         """The key of every (..., ncoords) coordinate row, or -1 for a row outside the coordinate bounds.
 
-        The bounds are checked before packing, so a row far outside cannot wrap into a valid key.
+        Every row is packed and the rows outside are then masked, so a row far
+        outside, whose int64 key may wrap, never reads as a valid key; rows of
+        another dtype (exact Python ints) are zeroed outside before conversion.
         """
         inside = (np.abs(coords) <= self.bounds).all(axis=-1)
-        keys = np.full(inside.shape, -1, dtype=np.int64)
-        keys[inside] = self.identity + coords[inside].astype(np.int64) @ np.array(self.strides, dtype=np.int64)
-        return keys
+        if coords.dtype != np.int64:
+            coords = np.where(inside[..., None], coords, 0).astype(np.int64)
+        return np.where(inside, self.identity + coords @ np.array(self.strides, dtype=np.int64), -1)
 
     def column(self, keys: np.ndarray, p: int) -> np.ndarray:
         """Coordinate p of every key."""
@@ -186,12 +195,7 @@ def _spheres(codec: KeyCodec, n: int, cap: int):
         nxt = sorted_difference(sorted_unique(codec.expand(cur)), np.sort(np.concatenate((prev, cur)), kind="stable"))
         yield level, nxt
         total += len(nxt)
-        if total > cap:
-            raise BudgetError(
-                f"ball of radius {level} needs more than {cap} stored elements",
-                needed=total,
-                budget=cap,
-            )
+        check_budget(total, cap, f"stored elements of the radius-{level} ball")
         prev, cur = cur, nxt
 
 
@@ -237,6 +241,18 @@ class BallTable:
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(self.keys)
         return self.keys[order], order
+
+    def prefix(self, r: int) -> BallTable:
+        """The radius-r ball for r <= radius: spheres 0..r under the same codec, equal to a fresh radius-r ball.
+
+        Keys sort lexicographically under any coordinate bounds, so the
+        prefix has the elements, lengths and order of a fresh enumeration.
+        """
+        if not 0 <= r <= self.radius:
+            raise SpecError(f"prefix radius {r} outside 0..{self.radius}")
+        if r == self.radius:
+            return self
+        return BallTable(spec=self.spec, gens=self.gens, radius=r, codec=self.codec, spheres=self.spheres[: r + 1])
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
@@ -293,16 +309,12 @@ def central_growth(
     gens: GeneratingSet,
     n: int,
     budget: int | None = None,
-    table: BallTable | None = None,
 ) -> list[int]:
     """beta_<c>(m) for m = 0..n: how many c^k lie in the m-ball."""
-    if table is None:
-        table = enumerate_ball(spec, gens, n, budget=budget)
-    elif table.radius < n:
-        raise SpecError("supplied ball table is too small")
+    table = enumerate_ball(spec, gens, n, budget=budget)
     codec = table.codec
     centre = codec.identity // codec.radix_k
-    counts = [int(np.count_nonzero(keys // codec.radix_k == centre)) for keys in table.spheres[: n + 1]]
+    counts = [int(np.count_nonzero(keys // codec.radix_k == centre)) for keys in table.spheres]
     return list(accumulate(counts))
 
 

@@ -206,8 +206,8 @@ def test_structural_matches_bruteforce():
 def test_structural_rejects_nonidentity_matrix():
     with pytest.raises(SpecError):
         twisted_growth_structural(H1, swap_automorphism(H1), 4, gens=GENS1)
-    with pytest.raises(SpecError):
-        twisted_growth_structural(H1, identity_automorphism(H1), 4)
+    with pytest.raises(TypeError):
+        twisted_growth_structural(H1, identity_automorphism(H1), 4)  # gens is required
 
 
 def test_twisted_modulus():
@@ -254,15 +254,15 @@ def test_bruteforce_exact_past_int64():
 
 
 def test_ball_and_conjugator_ball_share_one_budget():
-    # n = 3: the ball holds 53 elements, the conjugator balls of radius 5 and 7 hold 299 and 1069
+    # n = 3: the counted ball (53 elements) is the prefix of the radius-7 conjugator ball (1069), charged once
     with pytest.raises(BudgetError) as info:
-        twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1100)
-    assert (info.value.needed, info.value.budget) == (53 + 1069, 1100)
-    assert twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1122).stable
-    # coset 0 of the extension holds the radius-3 ball and its radius-5 conjugator ball
+        twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1068)
+    assert (info.value.needed, info.value.budget) == (1069, 1068)
+    assert twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3, conjugator_radius=5, budget=1069).stable
+    # every coset of the extension counts on prefixes of one radius-5 ball (299 elements)
     with pytest.raises(BudgetError) as info:
-        extension_conjugacy_growth(H1, GENS1, swap_automorphism(H1), 2, 3, budget=320)
-    assert (info.value.needed, info.value.budget) == (53 + 299, 320)
+        extension_conjugacy_growth(H1, GENS1, swap_automorphism(H1), 2, 3, budget=298)
+    assert (info.value.needed, info.value.budget) == (299, 298)
 
 
 def _on_every_pair(spec, block, kappa=None):
@@ -318,10 +318,10 @@ def test_one_conjugator_ball_per_count(monkeypatch):
 
     monkeypatch.setattr(nilgrowth.autos, "enumerate_ball", counting)
     twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 3)
-    assert radii == [3, 7]  # the ball, then the recheck's conjugator ball, whose prefix serves the first pass
+    assert radii == [7]  # the recheck's conjugator ball; its prefixes are the counted ball and the first pass
     radii.clear()
     extension_conjugacy_growth(H1, GENS1, swap_automorphism(H1), 2, 3)
-    assert radii == [3, 5, 2, 4]  # per coset: the ball and one conjugator ball
+    assert radii == [5]  # one (n + 2)-ball serves every coset
 
 
 def test_swap_two_classes_per_point():
@@ -402,6 +402,16 @@ def test_coset_count():
         coset_count(((1, 0), (2, 0)), 2, 2)
     with pytest.raises(SpecError):
         coset_count(((1, 0, 0),), 2, 2)
+
+
+def test_coset_count_budget(monkeypatch):
+    # the (2n + 1)^dim cube points go through the budget before the walk: 7^2 = 49 here
+    monkeypatch.setenv("NILGROWTH_BUDGET", "48")
+    with pytest.raises(BudgetError) as info:
+        coset_count(((2, 0),), 2, 3)
+    assert (info.value.needed, info.value.budget) == (49, 48)
+    monkeypatch.setenv("NILGROWTH_BUDGET", "49")
+    assert coset_count(((2, 0),), 2, 3) == 14
 
 
 def test_automorphism_json_round_trip():

@@ -83,11 +83,11 @@ def test_budget_exit_code(tmp_path):
     argv = ["gcdsum", "--dim", "2", "--radius", "100000", "--method", "sieve", "--budget", "10", "--out", str(out)]
     assert main(argv) == EXIT_BUDGET
     assert not out.exists()
-    # the twisted brute force charges its ball (53) and conjugator ball (1069 at radius 7) together
+    # the twisted brute force charges one ball: the radius-7 conjugator ball (1069), whose prefix it counts
     auto = tmp_path / "swap.json"
     auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
     argv = ["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto), "--mode", "brute"]
-    assert main(argv + ["--conjugator-radius", "5", "--budget", "1100", "--out", str(out)]) == EXIT_BUDGET
+    assert main(argv + ["--conjugator-radius", "5", "--budget", "1068", "--out", str(out)]) == EXIT_BUDGET
     assert not out.exists()
 
 
@@ -221,6 +221,24 @@ def test_embeddings_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["index_gamma1"] == 4 and report["index_gamma2"] == 2
     assert report["manifest"]["spec_sha256"]
+
+
+def test_embeddings_budget_exit_code(tmp_path):
+    # the radius-4 sample ball of HD2 passes a budget of 5 at sphere 1 (9 elements)
+    out = tmp_path / "emb.json"
+    assert main(["embeddings", "--spec", "HD2", "--budget", "5", "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(how, monkeypatch, capsys):
+    argv = ["ball", "--spec", "H1", "--radius", "3"]
+    if how == "flag":
+        argv += ["--budget", "-1"]
+    else:
+        monkeypatch.setenv("NILGROWTH_BUDGET", "-1")
+    assert main(argv) == EXIT_USAGE
+    assert _one_line_error(capsys)
 
 
 def test_verify_quick():

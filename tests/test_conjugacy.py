@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nilgrowth.autos import make_automorphism, twisted_growth_bruteforce, twisted_growth_structural
 from nilgrowth.conjugacy import (
+    CENTRAL_EXACT_RADIUS,
     ConjClassKey,
     central_ball_window,
     class_key,
@@ -146,7 +147,7 @@ def test_counts_build_no_class_key_objects(monkeypatch):
     spec = named_spec("H1")
     gens = standard_generating_set(spec)
     table = enumerate_ball(spec, gens, 6)
-    assert conjugacy_growth_exact(spec, gens, 6, table=table) == conjugacy_growth_oracle(spec, gens, 6)
+    assert class_lengths(spec, table).counts(6) == conjugacy_growth_oracle(spec, gens, 6)
     f = make_automorphism(spec, identity_matrix(2), (2, -1))
     assert twisted_growth_structural(spec, f, 4, gens=gens) == twisted_growth_bruteforce(spec, gens, f, 4, 10).counts
     assert direct_product_inequality_check(spec, named_spec("H2"), 2).ok
@@ -158,7 +159,7 @@ def test_class_lengths_residue_past_the_k_digit():
     spec = named_spec("H1")
     gens = standard_generating_set(spec)
     table = enumerate_ball(spec, gens, 2)
-    assert table.codec.radix_k == 5
+    assert table.codec.radix_k == 3
     lengths = class_lengths(spec, table, (-10, -1))
     assert len(lengths) == 15
     f = make_automorphism(spec, identity_matrix(2), (-10, -1))
@@ -269,7 +270,7 @@ def test_monotone_and_dominated():
     spec = named_spec("H2")
     gens = standard_generating_set(spec)
     table = enumerate_ball(spec, gens, 6)
-    counts = conjugacy_growth_exact(spec, gens, 6, table=table)
+    counts = conjugacy_growth_exact(spec, gens, 6)
     sizes = table.ball_sizes()
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert all(c <= s for c, s in zip(counts, sizes))
@@ -319,7 +320,7 @@ def test_bounds_h2_vs_oracle():
 
 def test_bounds_estimate_mode():
     spec = named_spec("H1")
-    bounds = conjugacy_growth_bounds(spec, 20, cache_radius=10)
+    bounds = conjugacy_growth_bounds(spec, 20)
     rep = bounds[20]
     assert not rep.central_exact
     assert rep.lower <= rep.upper
@@ -332,8 +333,8 @@ def test_bounds_estimate_mode():
 @pytest.mark.parametrize("name", ["H1", "H2"])
 def test_bounds_rows_match_direct_sums(name):
     # the bounds take their gcd sums from the sieve; the direct fold is the second route
-    spec, radius, cache = named_spec(name), 40, 12
-    bounds = conjugacy_growth_bounds(spec, radius, cache_radius=cache)
+    spec, radius, cache = named_spec(name), 40, CENTRAL_EXACT_RADIUS
+    bounds = conjugacy_growth_bounds(spec, radius)
     beta = central_growth(spec, standard_generating_set(spec), cache)
     sums = l1_gcd_sums(2 * spec.r, radius, method="direct")
     assert len(bounds) == radius + 1

@@ -15,6 +15,7 @@ from nilgrowth.words import (
     GeneratingSet,
     bass_guivarch_exponent,
     central_growth,
+    check_budget,
     check_generates,
     cumulative_counts,
     enumerate_ball,
@@ -85,7 +86,7 @@ def test_length_lower_bound_by_abelian_norm(h1_ball12):
 def test_central_growth(h1_ball12):
     spec, table = h1_ball12
     gens = standard_generating_set(spec)
-    beta = central_growth(spec, gens, 12, table=table)
+    beta = central_growth(spec, gens, 12)
     assert beta[0] == 1
     assert beta[4] >= 3
     assert all(a <= b for a, b in zip(beta, beta[1:]))
@@ -189,7 +190,7 @@ def test_engine_matches_dense_reference(case):
     assert table.sphere_sizes == [list(ref.values()).count(l) for l in range(n + 1)]
     assert class_lengths(spec, table) == _reference_class_lengths(spec, ref)
     central = [sum(1 for g, l in ref.items() if l <= m and not any(g[:-1])) for m in range(n + 1)]
-    assert central_growth(spec, gens, n, table=table) == central
+    assert central_growth(spec, gens, n) == central
     for g, l in list(ref.items())[:: max(1, len(ref) // 5)]:
         assert word_length(spec, g, gens, n) == l
     # the row lookup: every ball element at its place in entries; the next sphere is not in the ball,
@@ -201,6 +202,37 @@ def test_engine_matches_dense_reference(case):
     for p in range(1, spec.ncoords):
         outside += [g[: p - 1] + (g[p - 1] - 1, g[p] + radices[p]) + g[p + 1 :] for g in ref]
     assert (table.index(np.array(outside).reshape(-1, spec.ncoords)) == -1).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs_and_gens(), st.data())
+def test_prefix_matches_fresh_ball(case, data):
+    spec, gens, big = case
+    r = data.draw(st.integers(0, big))
+    ball = enumerate_ball(spec, gens, big)
+    prefix, fresh = ball.prefix(r), enumerate_ball(spec, gens, r)
+    assert prefix.radius == r and prefix.codec is ball.codec
+    assert prefix.sphere_sizes == fresh.sphere_sizes
+    assert prefix.coords.tolist() == fresh.coords.tolist()  # same elements in the same order
+    assert prefix.lengths.tolist() == fresh.lengths.tolist()
+    assert prefix.index(fresh.coords).tolist() == list(range(len(fresh.keys)))
+    if r < big:
+        assert (prefix.index(ball.codec.coords(ball.spheres[r + 1])) == -1).all()
+    with pytest.raises(SpecError):
+        ball.prefix(big + 1)
+
+
+def test_negative_budget_is_refused(monkeypatch):
+    spec = named_spec("H1")
+    with pytest.raises(SpecError, match="nonnegative"):
+        enumerate_ball(spec, standard_generating_set(spec), 3, budget=-1)
+    monkeypatch.setenv("NILGROWTH_BUDGET", "-5")
+    with pytest.raises(SpecError, match="nonnegative"):
+        check_budget(0, None, "anything")
+    # a zero budget is a budget: the first sphere passes it
+    with pytest.raises(BudgetError) as info:
+        enumerate_ball(spec, standard_generating_set(spec), 3, budget=0)
+    assert (info.value.needed, info.value.budget) == (5, 0)
 
 
 def test_key_overflow_is_a_spec_error():
