@@ -13,9 +13,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -114,16 +115,25 @@ def _emit_table(out: str | None, header: list[str], rows, manifest: dict) -> Non
 
 
 def _emit_report(out: str | None, report: dict, manifest: dict) -> None:
-    report = dict(report)
-    report["manifest"] = manifest
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps({**report, "manifest": manifest}, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
 
 
-def _read_table(path: str) -> list[float]:
+def _cell(text: str) -> int | float:
+    """An integer literal exactly, any other number as a float; a non-finite float is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _read_table(path: str) -> list[int | float]:
     """CSV with an n column first and the value in the last column, n contiguous from 0 or 1."""
     try:
         with open(path, newline="") as fh:
@@ -134,7 +144,7 @@ def _read_table(path: str) -> list[float]:
     pairs = []
     for row in body:
         try:
-            pairs.append((int(row[0]), float(row[-1])))
+            pairs.append((int(row[0]), _cell(row[-1])))
         except ValueError as exc:
             raise SpecError(f"bad table row {row}: {exc}") from exc
     if not pairs:
@@ -143,8 +153,7 @@ def _read_table(path: str) -> list[float]:
     start = pairs[0][0]
     if start not in (0, 1) or any(n != start + i for i, (n, _) in enumerate(pairs)):
         raise SpecError("table must have contiguous n starting at 0 or 1")
-    values = [0.0] * start + [v for _, v in pairs]
-    return values
+    return [0] * start + [v for _, v in pairs]
 
 
 def _load_automorphism(spec: GroupSpec, path: str):
@@ -157,153 +166,102 @@ def _load_automorphism(spec: GroupSpec, path: str):
     return f
 
 
-def cmd_ball(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+# Each cmd_* only computes.  A table command returns (header, rows), plus a dict
+# of manifest extras; a report command returns the report dict; `verify` prints
+# its own lines and returns its exit code.  `main` loads the spec, times the run
+# and writes every table and report.
+
+
+def cmd_ball(args, spec):
     table = enumerate_ball(spec, standard_generating_set(spec), args.radius, budget=args.budget)
     balls = table.ball_sizes()
-    rows = [(n, table.sphere_sizes[n], balls[n]) for n in range(args.radius + 1)]
-    _emit_table(args.out, ["n", "sphere", "ball"], rows, _manifest(args, spec, started))
-    return EXIT_OK
+    return ["n", "sphere", "ball"], [(n, table.sphere_sizes[n], balls[n]) for n in range(args.radius + 1)]
 
 
-def cmd_growth(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+def cmd_growth(args, spec):
     gens = standard_generating_set(spec)
     if args.mode == "word":
         counts = enumerate_ball(spec, gens, args.radius, budget=args.budget).ball_sizes()
     else:
         counts = central_growth(spec, gens, args.radius, budget=args.budget)
-    rows = list(enumerate(counts))
-    _emit_table(args.out, ["n", "count"], rows, _manifest(args, spec, started))
-    return EXIT_OK
+    return ["n", "count"], list(enumerate(counts))
 
 
-def cmd_conj(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+def cmd_conj(args, spec):
     gens = standard_generating_set(spec)
-    if args.mode == "exact":
-        counts = conjugacy_growth_exact(spec, gens, args.radius, budget=args.budget)
-        rows = list(enumerate(counts))
-        header = ["n", "classes"]
-    elif args.mode == "oracle":
-        counts = conjugacy_growth_oracle(spec, gens, args.radius, budget=args.budget)
-        rows = list(enumerate(counts))
-        header = ["n", "classes"]
-    else:
+    if args.mode == "bounds":
         reports = conjugacy_growth_bounds(spec, args.radius, budget=args.budget)
-        rows = [(rep.n, rep.lower, rep.upper, int(rep.central_exact)) for rep in reports]
-        header = ["n", "lower", "upper", "central_exact"]
-    _emit_table(args.out, header, rows, _manifest(args, spec, started))
-    return EXIT_OK
+        return ["n", "lower", "upper", "central_exact"], [
+            (rep.n, rep.lower, rep.upper, int(rep.central_exact)) for rep in reports
+        ]
+    count = conjugacy_growth_exact if args.mode == "exact" else conjugacy_growth_oracle
+    return ["n", "classes"], list(enumerate(count(spec, gens, args.radius, budget=args.budget)))
 
 
-def cmd_gcdsum(args) -> int:
-    started = time.time()
+def cmd_gcdsum(args, spec):
     if args.step < 1:
         raise SpecError("step must be >= 1")
     offset = _parse_offset(args.offset) if args.offset else ()
     ball = LatticeBallSpec(dim=args.dim, radius=args.radius, norm=args.norm, offset=offset)
-    rows = []
-    for n in range(1, args.radius + 1, args.step):
-        rows.append((n, gcd_sum(replace(ball, radius=n), budget=args.budget, method=args.method)))
-    _emit_table(args.out, ["n", "sum"], rows, _manifest(args, None, started))
-    return EXIT_OK
+    return ["n", "sum"], [
+        (n, gcd_sum(replace(ball, radius=n), budget=args.budget, method=args.method))
+        for n in range(1, args.radius + 1, args.step)
+    ]
 
 
-def cmd_twisted(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+def cmd_twisted(args, spec):
     gens = standard_generating_set(spec)
     f = _load_automorphism(spec, args.auto)
-    extra: dict = {}
-    if args.mode == "brute":
-        res = twisted_growth_bruteforce(
-            spec, gens, f, args.radius, conjugator_radius=args.conjugator_radius, budget=args.budget
-        )
-        counts = res.counts
-        extra = {"stable": res.stable, "conjugator_radius": res.conjugator_radius}
-        if not res.stable:
-            print(
-                f"warning: twisted counts not stable: conjugator radius {res.conjugator_radius} gives "
-                f"{res.first_pass_counts}, radius {res.conjugator_radius + 2} gives {res.counts}",
-                file=sys.stderr,
-            )
-    else:
+    if args.mode == "structural":
         counts = twisted_growth_structural(spec, f, args.radius, gens=gens, budget=args.budget)
-    rows = list(enumerate(counts))
-    _emit_table(args.out, ["n", "classes"], rows, _manifest(args, spec, started, extra))
-    return EXIT_OK
+        return ["n", "classes"], list(enumerate(counts))
+    res = twisted_growth_bruteforce(
+        spec, gens, f, args.radius, conjugator_radius=args.conjugator_radius, budget=args.budget
+    )
+    if not res.stable:
+        print(
+            f"warning: twisted counts not stable: conjugator radius {res.conjugator_radius} gives "
+            f"{res.first_pass_counts}, radius {res.conjugator_radius + 2} gives {res.counts}",
+            file=sys.stderr,
+        )
+    extra = {"stable": res.stable, "conjugator_radius": res.conjugator_radius}
+    return ["n", "classes"], list(enumerate(res.counts)), extra
 
 
-def cmd_extension(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+def cmd_extension(args, spec):
     gens = standard_generating_set(spec)
     f = _load_automorphism(spec, args.auto)
     counts = extension_conjugacy_growth(spec, gens, f, args.order, args.radius, budget=args.budget)
-    rows = list(enumerate(counts))
-    _emit_table(args.out, ["n", "classes"], rows, _manifest(args, spec, started))
-    return EXIT_OK
+    return ["n", "classes"], list(enumerate(counts))
 
 
-def cmd_embeddings(args) -> int:
-    started = time.time()
-    spec = load_spec(args.spec)
+def cmd_embeddings(args, spec):
     rep = hd_embeddings(spec, budget=args.budget)
-    report = {
-        "gamma": list(rep.gamma),
-        "index_gamma1": rep.index_gamma1,
-        "index_gamma1_formula": rep.index_gamma1_formula,
-        "index_gamma2": rep.index_gamma2,
-        "index_gamma2_formula": rep.index_gamma2_formula,
-        "label_invariance_ok": rep.label_invariance_ok,
-        "reduction_ok": rep.reduction_ok,
-        "phi_relators_ok": rep.phi_relators_ok,
-        "phi_injective_ok": rep.phi_injective_ok,
-        "phi_homomorphism_ok": rep.phi_homomorphism_ok,
-    }
-    _emit_report(args.out, report, _manifest(args, spec, started))
-    return EXIT_OK
+    return {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "spec"}
 
 
-def cmd_series(args) -> int:
-    started = time.time()
+def cmd_series(args, spec):
     values = _read_table(args.infile)
-    if args.action == "detect-qp":
-        ints = [int(v) for v in values]
-        if any(v != int_v for v, int_v in zip(values, ints)):
-            raise SpecError("quasi-polynomial detection needs integer values")
-        qp = detect_quasi_polynomial(ints, args.max_period, args.max_degree)
-        if qp is None:
-            report = {"found": False}
-        else:
-            report = {
-                "found": True,
-                "period": qp.period,
-                "threshold": qp.threshold,
-                "degree": qp.degree,
-                "polys": [[str(c) for c in p] for p in qp.polys],
-            }
-    else:
+    if args.action == "fit":
         if args.window is None:
             raise SpecError("fit requires --window A:B")
         model = select_asymptotic_model(values, _parse_window(args.window))
-        report = {
-            "family": model.family,
-            "degree": model.degree,
-            "constant": model.constant,
-            "residual": model.residual,
-            "window": list(model.window),
-        }
-    _emit_report(args.out, report, _manifest(args, None, started))
-    return EXIT_OK
+        return asdict(model)
+    if any(v != int(v) for v in values):
+        raise SpecError("quasi-polynomial detection needs integer values")
+    qp = detect_quasi_polynomial(values, args.max_period, args.max_degree)
+    if qp is None:
+        return {"found": False}
+    return {
+        "found": True,
+        "period": qp.period,
+        "threshold": qp.threshold,
+        "degree": qp.degree,
+        "polys": [[str(c) for c in p] for p in qp.polys],
+    }
 
 
-def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_verify(args, spec) -> int:
     results = run_verification(spec, quick=args.quick)
     failed = 0
     for res in results:
@@ -392,10 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        spec = load_spec(args.spec) if "spec" in vars(args) else None
+        result = args.func(args, spec)
+        if isinstance(result, int):  # verify prints its own lines
+            return result
+        is_table = isinstance(result, tuple)
+        header, rows, *extra = result if is_table else (None, None)
+        manifest = _manifest(args, spec, started, *extra)
+        if is_table:
+            _emit_table(args.out, header, rows, manifest)
+        else:
+            _emit_report(args.out, result, manifest)
+        return EXIT_OK
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -288,9 +288,6 @@ class BoundsReport:
     upper: int
     central_exact: bool
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.lower, self.upper)
-
 
 # The sandwich bounds count beta_<c> exactly by BFS up to this radius.
 CENTRAL_EXACT_RADIUS = 12

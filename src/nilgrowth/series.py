@@ -9,10 +9,12 @@ fits use floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecError, StructuralError
+from .words import growth_exponent_fit
 
 Poly = tuple[Fraction, ...]  # coefficients, low degree first
 
@@ -134,10 +136,6 @@ class AsymptoticModel:
     residual: float
     window: tuple[int, int]
 
-    def predict(self, n: int) -> float:
-        base = self.constant * n**self.degree
-        return base * math.log(n) if self.family == "poly_d_log" else base
-
 
 def select_asymptotic_model(values, window: tuple[int, int]) -> AsymptoticModel:
     """Best of {a n^d, a n^d log n} over integer d near the log-log slope.
@@ -154,15 +152,11 @@ def select_asymptotic_model(values, window: tuple[int, int]) -> AsymptoticModel:
     vs = [values[n] for n in ns]
     if len(ns) < 6:
         raise SpecError("need at least 6 points")
-    if any(v <= 0 for v in vs):
-        raise SpecError("values must be positive on the window")
+    if any(not 0 < v <= sys.float_info.max for v in vs):
+        raise SpecError("values must be positive and float-sized on the window")
+    slope = growth_exponent_fit(values, window)
     logn = [math.log(n) for n in ns]
     logv = [math.log(v) for v in vs]
-    mean_x = sum(logn) / len(ns)
-    mean_y = sum(logv) / len(ns)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(logn, logv)) / sum(
-        (x - mean_x) ** 2 for x in logn
-    )
     degrees = sorted({d for d in range(math.floor(slope) - 1, math.ceil(slope) + 2) if d >= 0})
     if not degrees:
         degrees = [0]
@@ -180,34 +174,6 @@ def select_asymptotic_model(values, window: tuple[int, int]) -> AsymptoticModel:
                     family=family, degree=degree, constant=a, residual=residual, window=(lo, hi)
                 )
     return best
-
-
-@dataclass(frozen=True)
-class SeriesTable:
-    """Growth series coefficients with provenance labels for export."""
-
-    coefficients: tuple[int, ...]
-    group: str = ""
-    gens: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"coefficients": list(self.coefficients), "group": self.group, "gens": self.gens}
-
-
-def series_coefficients(values, group: str = "", gens: str = "") -> SeriesTable:
-    """Package a count sequence as generating-series coefficients."""
-    return SeriesTable(coefficients=tuple(int(v) for v in values), group=group, gens=gens)
-
-
-def series_from_json_dict(data: dict) -> SeriesTable:
-    try:
-        return SeriesTable(
-            coefficients=tuple(int(v) for v in data["coefficients"]),
-            group=data.get("group", ""),
-            gens=data.get("gens", ""),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad series payload: {exc}") from exc
 
 
 @dataclass(frozen=True)

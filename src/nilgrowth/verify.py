@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -56,9 +55,9 @@ def _rand_elt(rng, spec):
     return tuple(rng.randint(-6, 6) for _ in range(spec.ncoords))
 
 
-def check_group_law(spec: GroupSpec, trials: int = 300, seed: int = 0) -> None:
+def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
     """Associativity, inverses and powers of the tuple law, then the array law against it row by row."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     e = spec.identity()
     gs, hs = [], []
     for _ in range(trials):
@@ -92,18 +91,18 @@ def check_relators(spec: GroupSpec) -> None:
                     raise StructuralError("cross-pair commutator is nontrivial")
 
 
-def check_form_matches_commutators(spec: GroupSpec, trials: int = 200, seed: int = 1) -> None:
-    rng = random.Random(seed)
-    for _ in range(trials):
+def check_form_matches_commutators(spec: GroupSpec) -> None:
+    rng = random.Random(1)
+    for _ in range(200):
         g, h = _rand_elt(rng, spec), _rand_elt(rng, spec)
         form = commutator_form(spec, g[:-1], h[:-1])
         if commutator(spec, g, h) != central_element(spec, form):
             raise StructuralError(f"form/commutator mismatch at {g}, {h}")
 
 
-def check_conjugation_is_central_shift(spec: GroupSpec, trials: int = 200, seed: int = 2) -> None:
-    rng = random.Random(seed)
-    for _ in range(trials):
+def check_conjugation_is_central_shift(spec: GroupSpec) -> None:
+    rng = random.Random(2)
+    for _ in range(200):
         x, g = _rand_elt(rng, spec), _rand_elt(rng, spec)
         img = conjugate(spec, x, g)
         if img[:-1] != g[:-1]:
@@ -112,18 +111,18 @@ def check_conjugation_is_central_shift(spec: GroupSpec, trials: int = 200, seed:
             raise StructuralError("conjugation shift disagrees with the form")
 
 
-def check_class_key_invariance(spec: GroupSpec, trials: int = 300, seed: int = 3) -> None:
-    rng = random.Random(seed)
-    for _ in range(trials):
+def check_class_key_invariance(spec: GroupSpec) -> None:
+    rng = random.Random(3)
+    for _ in range(300):
         x, g = _rand_elt(rng, spec), _rand_elt(rng, spec)
         if class_key(spec, conjugate(spec, x, g)) != class_key(spec, g):
             raise StructuralError(f"class key moved under conjugation at {x}, {g}")
 
 
-def check_ball_robustness(spec: GroupSpec, radius: int = 5) -> None:
+def check_ball_robustness(spec: GroupSpec, radius: int) -> None:
     std = standard_generating_set(spec)
     gens = standard_generators(spec)
-    doubled = type(std)(gens=gens + (multiply(spec, gens[0], gens[0]),), label="std+a^2")
+    doubled = type(std)(gens=gens + (multiply(spec, gens[0], gens[0]),))
     b_std = enumerate_ball(spec, std, radius).ball_sizes()
     b_dbl = enumerate_ball(spec, doubled, radius).ball_sizes()
     for n in range(radius + 1):
@@ -141,7 +140,7 @@ def check_conjugacy_oracle_agreement(spec: GroupSpec, radius: int) -> None:
         raise StructuralError("exact and orbit-closure conjugacy counts differ")
 
 
-def check_central_window(spec: GroupSpec, radius: int = 10) -> None:
+def check_central_window(spec: GroupSpec, radius: int) -> None:
     gens = standard_generating_set(spec)
     beta = central_growth(spec, gens, radius)
     for n in range(radius + 1):
@@ -150,7 +149,7 @@ def check_central_window(spec: GroupSpec, radius: int = 10) -> None:
             raise StructuralError(f"central count {beta[n]} outside window at n={n}")
 
 
-def check_sandwich(spec: GroupSpec, radius: int = 7) -> None:
+def check_sandwich(spec: GroupSpec, radius: int) -> None:
     gens = standard_generating_set(spec)
     exact = conjugacy_growth_exact(spec, gens, radius)
     bounds = conjugacy_growth_bounds(spec, radius)
@@ -189,13 +188,8 @@ def check_expected_gcd() -> None:
 
 
 def check_embeddings(spec: GroupSpec) -> None:
-    """The sandwich of spec itself when s = 0, else of HD2: indices prod(gamma) delta_{r-1} and prod(delta)."""
-    spec = spec if spec.s == 0 else named_spec("HD2")
-    rep = hd_embeddings(spec)
-    dmax = spec.weights[-1]
-    want = (dmax * prod(dmax // w for w in spec.weights), prod(spec.weights))
-    if (rep.index_gamma1, rep.index_gamma2) != want:
-        raise StructuralError(f"embedding indices {rep.index_gamma1}, {rep.index_gamma2} != {want[0]}, {want[1]}")
+    """The sandwich of spec itself when s = 0, else of HD2; hd_embeddings raises on an index mismatch."""
+    hd_embeddings(spec if spec.s == 0 else named_spec("HD2"))
 
 
 def check_automorphisms(spec: GroupSpec) -> None:
@@ -203,7 +197,7 @@ def check_automorphisms(spec: GroupSpec) -> None:
         verify_automorphism(spec, f, trials=150)
 
 
-def check_twisted(spec: GroupSpec, radius: int = 4) -> None:
+def check_twisted(spec: GroupSpec, radius: int) -> None:
     gens = standard_generating_set(spec)
     res = twisted_growth_bruteforce(spec, gens, identity_automorphism(spec), radius)
     if res.counts != conjugacy_growth_exact(spec, gens, radius):
@@ -217,7 +211,7 @@ def check_twisted(spec: GroupSpec, radius: int = 4) -> None:
         raise StructuralError("twisted counts not stable under a deeper conjugator ball")
 
 
-def check_extension(spec: GroupSpec, radius: int = 5) -> None:
+def check_extension(spec: GroupSpec, radius: int) -> None:
     gens = standard_generating_set(spec)
     ext = extension_conjugacy_growth(spec, gens, identity_automorphism(spec), 2, radius)
     ch = conjugacy_growth_exact(spec, gens, radius)

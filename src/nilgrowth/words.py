@@ -64,7 +64,6 @@ class GeneratingSet:
     """A finite generating set; inverses are implicit."""
 
     gens: tuple[Element, ...]
-    label: str = "custom"
 
     def __post_init__(self):
         if not self.gens:
@@ -73,7 +72,7 @@ class GeneratingSet:
 
 def standard_generating_set(spec: GroupSpec) -> GeneratingSet:
     """The s+2r unit-coordinate generators z_1..z_s, a_1, b_1, ..., a_r, b_r."""
-    return GeneratingSet(standard_generators(spec), label="standard")
+    return GeneratingSet(standard_generators(spec))
 
 
 def _step_set(spec: GroupSpec, gens: GeneratingSet) -> list[Element]:

@@ -215,6 +215,91 @@ def test_series_pipeline(tmp_path):
     assert main(["series", "fit", "--in", str(table)]) == EXIT_USAGE  # missing window
 
 
+def _write_table(path, values):
+    path.write_text("n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values)))
+    return str(path)
+
+
+def test_series_reads_integer_cells_exactly(tmp_path, capsys):
+    # past 2^53 a float cell rounds; the integer cells keep the quadratic exact
+    table = _write_table(tmp_path / "big.csv", [10**17 + n * n + n for n in range(30)])
+    assert main(["series", "detect-qp", "--in", table]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["found"], report["period"], report["degree"]) == (True, 1, 2)
+    assert report["polys"] == [[str(10**17), "1", "1"]]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("action", [["detect-qp"], ["fit", "--window", "3:25"]])
+def test_non_finite_series_cells_are_usage_errors(tmp_path, capsys, cell, action):
+    values = [n * n + 1 for n in range(30)]
+    values[7] = cell
+    table = _write_table(tmp_path / "t.csv", values)
+    assert main(["series", action[0], "--in", table, *action[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: bad table row ['7', '{cell}']: non-finite value '{cell}'"]
+
+
+def test_fit_refuses_integers_past_the_float_range(tmp_path, capsys):
+    table = _write_table(tmp_path / "t.csv", [10**400 + n for n in range(30)])
+    assert main(["series", "fit", "--in", table, "--window", "3:25"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+MANIFEST_KEYS = {"subcommand", "parameters", "spec", "spec_sha256", "version", "budget", "wall_time_s"}
+EVERY_MODE = {
+    "ball": ["ball", "--spec", "H1", "--radius", "3"],
+    "growth-word": ["growth", "--spec", "H1", "--radius", "3", "--mode", "word"],
+    "growth-central": ["growth", "--spec", "H1", "--radius", "3", "--mode", "central"],
+    "conj-exact": ["conj", "--spec", "H1", "--radius", "3", "--mode", "exact"],
+    "conj-oracle": ["conj", "--spec", "H1", "--radius", "3", "--mode", "oracle"],
+    "conj-bounds": ["conj", "--spec", "H1", "--radius", "6", "--mode", "bounds"],
+    "gcdsum": ["gcdsum", "--dim", "2", "--radius", "6", "--norm", "l1"],
+    "twisted-brute": ["twisted", "--spec", "H1", "--radius", "3", "--auto", "{swap}", "--mode", "brute"],
+    "twisted-structural": ["twisted", "--spec", "H1", "--radius", "3", "--auto", "{shift}", "--mode", "structural"],
+    "extension": ["extension", "--spec", "H1", "--radius", "3", "--auto", "{swap}", "--order", "2"],
+    "embeddings": ["embeddings", "--spec", "HD2"],
+    "series-detect-qp": ["series", "detect-qp", "--in", "{table}"],
+    "series-fit": ["series", "fit", "--in", "{table}", "--window", "5:25"],
+    "verify": ["verify", "--spec", "H1", "--quick"],
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_MODE))
+def test_every_subcommand_writes_one_manifest_shape(name, tmp_path, capsys):
+    files = {
+        "swap": tmp_path / "swap.json",
+        "shift": tmp_path / "shift.json",
+        "table": tmp_path / "table.csv",
+    }
+    files["swap"].write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
+    files["shift"].write_text(json.dumps({"M": [[1, 0], [0, 1]], "kappa": [1, 0]}))
+    _write_table(files["table"], [3 * n**3 + n for n in range(30)])
+    argv = [arg.format(**files) for arg in EVERY_MODE[name]]
+    if name == "verify":
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].startswith("passed ")
+        return
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    params = {k: v for k, v in vars(build_parser().parse_args(argv + ["--out", str(out)])).items() if k != "func"}
+    if argv[0] in ("embeddings", "series"):
+        manifest = json.loads(out.read_text())["manifest"]
+        keys = MANIFEST_KEYS
+    else:
+        assert out.read_text().splitlines()[0] == "# manifest: out.manifest.json"
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        keys = MANIFEST_KEYS | {"output"}
+        assert manifest["output"] == "out"
+    if name == "twisted-brute":
+        keys = keys | {"stable", "conjugator_radius"}
+        assert (manifest["stable"], manifest["conjugator_radius"]) == (True, 5)
+    assert set(manifest) == keys
+    assert manifest["subcommand"] == argv[0] and manifest["parameters"] == params
+    assert (manifest["spec"] is None) == (argv[0] in ("gcdsum", "series"))
+
+
 def test_embeddings_report(tmp_path):
     out = tmp_path / "emb.json"
     assert main(["embeddings", "--spec", "HD2", "--out", str(out)]) == EXIT_OK

@@ -304,8 +304,8 @@ def test_bounds_small():
         rep = bounds[n]
         assert rep.central_exact
         assert rep.lower <= exact[n] <= rep.upper
-    assert bounds[0].as_tuple() == (1, 1)
-    assert bounds[1].as_tuple() == (1, 5)
+    assert (bounds[0].lower, bounds[0].upper) == (1, 1)
+    assert (bounds[1].lower, bounds[1].upper) == (1, 5)
 
 
 def test_bounds_h2_vs_oracle():

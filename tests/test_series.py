@@ -15,8 +15,6 @@ from nilgrowth.series import (
     poly_eval,
     rational_implies_polynomial_check,
     select_asymptotic_model,
-    series_coefficients,
-    series_from_json_dict,
 )
 from nilgrowth.words import standard_generating_set
 
@@ -131,18 +129,6 @@ def test_select_validation():
         select_asymptotic_model(vals, (10, 14))
     with pytest.raises(SpecError):
         select_asymptotic_model([0] * 50, (10, 30))
-
-
-def test_series_round_trip():
-    table = series_coefficients([1, 1, 1, 1], group="Z", gens="std")
-    assert table.coefficients == (1, 1, 1, 1)
-    again = series_from_json_dict(table.to_json_dict())
-    assert again == table
-    h1 = named_spec("H1")
-    counts = conjugacy_growth_exact(h1, standard_generating_set(h1), 6)
-    assert series_coefficients(counts).coefficients == tuple(counts)
-    with pytest.raises(SpecError):
-        series_from_json_dict({"group": "Z"})
 
 
 def test_non_holonomy_report_shape():

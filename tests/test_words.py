@@ -258,7 +258,7 @@ def test_word_length_budget():
 def test_generating_set_robustness(h1_ball12):
     # T = S + {c}: beta_T(n) <= beta_S(4n) and beta_S(n) <= beta_T(n).
     spec, table_s = h1_ball12
-    gens_t = GeneratingSet(standard_generating_set(spec).gens + (central_element(spec, 1),), label="std+c")
+    gens_t = GeneratingSet(standard_generating_set(spec).gens + (central_element(spec, 1),))
     table_t = enumerate_ball(spec, gens_t, 3)
     sizes_s = table_s.ball_sizes()
     sizes_t = table_t.ball_sizes()
@@ -285,7 +285,7 @@ def test_check_generates():
     spec = named_spec("H1")
     assert check_generates(spec, standard_generating_set(spec), 1)
     # {a, ab} generates: b = a^-1 (ab) reachable at radius 2
-    gens = GeneratingSet(((1, 0, 0), (1, 1, 0)), label="a,ab")
+    gens = GeneratingSet(((1, 0, 0), (1, 1, 0)))
     assert check_generates(spec, gens, 2)
     # {a} alone does not generate within any radius
     assert not check_generates(spec, GeneratingSet(((1, 0, 0),)), 6)
