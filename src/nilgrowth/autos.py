@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from operator import index
 
 import numpy as np
@@ -34,8 +33,6 @@ from .groups import (
 )
 from .intlinalg import (
     Matrix,
-    hermite_normal_form,
-    hnf_reduce,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -47,7 +44,7 @@ from .intlinalg import (
     vec_mat,
 )
 from .conjugacy import class_lengths, merge_conjugates, merge_images, new_labels, part_lengths
-from .words import BallTable, GeneratingSet, check_budget, cumulative_counts, enumerate_ball
+from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -221,13 +218,13 @@ class VerifyReport:
         return self.homomorphism_ok and self.inverse_ok and self.central_ok and self.relators_ok
 
 
-def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000, seed: int = 0) -> VerifyReport:
+def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000) -> VerifyReport:
     """Homomorphism fuzz, inverse round-trip, f(c) = c^eps, relator preservation."""
     image = _image_bound(spec, f, (9, 9))
     dtype = array_dtype(_image_bound(spec, f, product_bound(spec, (9, 9), (9, 9))), product_bound(spec, image, image))
     # trial t draws g = pairs[t, 0] and h = pairs[t, 1], in one choices call; numpy.random is left
     # out because numpy does not import it, and its first import costs ~6 MB of RSS
-    draws = random.Random(seed).choices(range(-9, 10), k=2 * trials * spec.ncoords)
+    draws = random.Random(0).choices(range(-9, 10), k=2 * trials * spec.ncoords)
     pairs = np.array(draws, dtype=dtype).reshape(trials, 2, spec.ncoords)
     g, h = pairs[:, 0], pairs[:, 1]
     lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))
@@ -292,13 +289,17 @@ def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii
 
 @dataclass
 class TwistedGrowthResult:
-    """Twisted class counts: `counts` merges conjugators up to length radius + 2, `first_pass_counts` up to radius."""
+    """Twisted class counts: `counts` merges conjugators up to length radius + 2, `first_pass_counts` up to radius.
+
+    label is the root-pointer array (see merge_parts) of the final partition of table, the counted ball.
+    """
 
     counts: list[int]
     stable: bool
     conjugator_radius: int
     first_pass_counts: list[int]
-    part_of: dict[Element, Element] = field(repr=False, default_factory=dict)
+    table: BallTable = field(repr=False, compare=False)
+    label: np.ndarray = field(repr=False, compare=False)
 
 
 def twisted_growth_bruteforce(
@@ -319,14 +320,13 @@ def twisted_growth_bruteforce(
     counts = cumulative_counts(part_lengths(next(passes), table.lengths), n)
     label = next(passes)
     recheck = cumulative_counts(part_lengths(label, table.lengths), n)
-    elements = table.codec.unpack(table.keys)
-    part_of = dict(zip(elements, [elements[root] for root in label.tolist()]))
     return TwistedGrowthResult(
         counts=recheck,
         stable=counts == recheck,
         conjugator_radius=radius,
         first_pass_counts=counts,
-        part_of=part_of,
+        table=table,
+        label=label,
     )
 
 
@@ -345,14 +345,6 @@ def twisted_growth_structural(
     if f.m != identity_matrix(spec.dim) or f.eps != 1:
         raise SpecError("structural twisted counts need M = I and eps = +1")
     return class_lengths(spec, enumerate_ball(spec, gens, n, budget=budget), f.kappa).counts(n)
-
-
-def classes_per_abelianized_point(result: TwistedGrowthResult) -> dict[Vector, int]:
-    """How many twisted classes touch each abelianized point of the ball."""
-    seen: dict[Vector, set] = {}
-    for g, root in result.part_of.items():
-        seen.setdefault(g[:-1], set()).add(root)
-    return {v: len(roots) for v, roots in seen.items()}
 
 
 @dataclass
@@ -414,17 +406,3 @@ def extension_conjugacy_growth(
         lengths.append(ct + part_lengths(label, table.lengths))
     return cumulative_counts(np.concatenate(lengths), n)
 
-
-def coset_count(sublattice_basis, dim: int, n: int) -> int:
-    """Distinct cosets of the row span meeting the cubical n-ball in Z^dim."""
-    basis = tuple(tuple(int(x) for x in row) for row in sublattice_basis)
-    if any(len(row) != dim for row in basis):
-        raise SpecError("basis rows must have length dim")
-    if basis and rank(basis) != len(basis):
-        raise SpecError("basis rows must be independent")
-    hnf = hermite_normal_form(basis) if basis else ()
-    check_budget((2 * n + 1) ** dim, None, "points of the coset cube")
-    reps = set()
-    for point in iter_product(range(-n, n + 1), repeat=dim):
-        reps.add(hnf_reduce(hnf, point))
-    return len(reps)

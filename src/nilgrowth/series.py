@@ -167,12 +167,17 @@ def select_asymptotic_model(values, window: tuple[int, int]) -> AsymptoticModel:
                 degree * x + (math.log(x) if family == "poly_d_log" else 0.0) for x in logn
             ]
             log_a = sum(y - b for y, b in zip(logv, logb)) / len(ns)
-            a = math.exp(log_a)
-            residual = max(abs(math.exp(log_a + b) / v - 1.0) for b, v in zip(logb, vs))
+            try:
+                a = math.exp(log_a)
+                residual = max(abs(math.exp(log_a + b) / v - 1.0) for b, v in zip(logb, vs))
+            except OverflowError:  # the constant or a model value leaves the float range
+                continue
             if best is None or residual < best.residual:
                 best = AsymptoticModel(
                     family=family, degree=degree, constant=a, residual=residual, window=(lo, hi)
                 )
+    if best is None:
+        raise SpecError("no model stays within the float range on the window")
     return best
 
 

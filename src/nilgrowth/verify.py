@@ -236,9 +236,8 @@ class CheckResult:
     detail: str = ""
 
 
-def run_verification(spec: GroupSpec | None = None, quick: bool = False) -> list[CheckResult]:
+def run_verification(spec: GroupSpec, quick: bool = False) -> list[CheckResult]:
     """Run every invariant check; returns one result per check."""
-    spec = spec if spec is not None else named_spec("H1")
     small = spec.dim <= 4
     conj_radius = (4 if quick else 6) if small else (3 if quick else 4)
     checks = [

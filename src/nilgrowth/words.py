@@ -124,12 +124,6 @@ class KeyCodec:
             (a + 1, np.array([-w * x[a] for x in steps], dtype=np.int64)) for w, a in pairs if any(x[a] for x in steps)
         ]
 
-    def pack(self, g: Element) -> int | None:
-        """The key of g, or None when g lies outside the coordinate bounds (so outside the ball)."""
-        if any(abs(x) > b for x, b in zip(g, self.bounds)):
-            return None
-        return self.identity + self._offset(g)
-
     def _offset(self, g: Element) -> int:
         return sum(x * stride for x, stride in zip(g, self.strides))
 
@@ -203,7 +197,6 @@ class BallTable:
     """Exact word lengths for the radius-n ball: one sorted key array per sphere."""
 
     spec: GroupSpec
-    gens: GeneratingSet
     radius: int
     codec: KeyCodec
     spheres: list[np.ndarray]
@@ -251,7 +244,7 @@ class BallTable:
             raise SpecError(f"prefix radius {r} outside 0..{self.radius}")
         if r == self.radius:
             return self
-        return BallTable(spec=self.spec, gens=self.gens, radius=r, codec=self.codec, spheres=self.spheres[: r + 1])
+        return BallTable(spec=self.spec, radius=r, codec=self.codec, spheres=self.spheres[: r + 1])
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
@@ -274,7 +267,7 @@ def enumerate_ball(
     codec = KeyCodec(spec, _step_set(spec, gens), n)
     spheres = [np.array([codec.identity], dtype=np.int64)]
     spheres += [keys for _, keys in _spheres(codec, n, cap)]
-    return BallTable(spec=spec, gens=gens, radius=n, codec=codec, spheres=spheres)
+    return BallTable(spec=spec, radius=n, codec=codec, spheres=spheres)
 
 
 def word_length(
@@ -293,8 +286,8 @@ def word_length(
     if g == spec.identity():
         return 0
     codec = KeyCodec(spec, _step_set(spec, gens), cutoff)
-    target = codec.pack(g)
-    if target is None:
+    target = int(codec.pack_rows(np.array(g, dtype=object)))
+    if target < 0:
         return None
     for level, keys in _spheres(codec, cutoff, cap):
         pos = np.searchsorted(keys, target)

@@ -172,7 +172,7 @@ def test_criterion_09_twisted_cases():
     # (b) swap: at most two classes per abelianized point on n <= 6
     res_b = twisted_growth_bruteforce(spec, gens, swap_automorphism(spec), 6)
     per_point = {}
-    for g, root in res_b.part_of.items():
+    for g, root in zip(res_b.table.entries, res_b.label.tolist()):
         per_point.setdefault(g[:-1], set()).add(root)
     assert res_b.stable and max(len(s) for s in per_point.values()) <= 2
     # (c) M=I, kappa=(1,0): structural equals brute force on n <= 6

@@ -102,20 +102,6 @@ def test_usage_errors(tmp_path):
     assert main(["gcdsum", "--dim", "2", "--radius", "6", "--step", "-2"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gcdsum", "--dim", "2", "--radius", "-3"],
-        ["conj", "--spec", "H1", "--radius", "-1", "--mode", "bounds"],
-    ],
-)
-def test_negative_radius_is_a_usage_error(argv, capsys):
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == ["error: radius must be nonnegative"]
-
-
 def test_spec_file_loading(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"s": 1, "r": 1, "delta": []}))
@@ -241,6 +227,20 @@ def test_non_finite_series_cells_are_usage_errors(tmp_path, capsys, cell, action
     assert captured.err.splitlines() == [f"error: bad table row ['7', '{cell}']: non-finite value '{cell}'"]
 
 
+def test_fit_skips_models_past_the_float_range(tmp_path, capsys):
+    # every candidate but the pure constant leaves the float range on this window
+    table = _write_table(tmp_path / "t.csv", [1.7e308] * 30)
+    assert main(["series", "fit", "--in", table, "--window", "3:25"]) == EXIT_OK
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["family"], report["degree"]) == ("poly_d", 0)
+    assert captured.err == ""
+    # a jump from 1e-300 to 1.7e308 puts every candidate past the float range: a usage error
+    table = _write_table(tmp_path / "t.csv", [1e-300] * 10 + [1.7e308] * 20)
+    assert main(["series", "fit", "--in", table, "--window", "3:25"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
 def test_fit_refuses_integers_past_the_float_range(tmp_path, capsys):
     table = _write_table(tmp_path / "t.csv", [10**400 + n for n in range(30)])
     assert main(["series", "fit", "--in", table, "--window", "3:25"]) == EXIT_USAGE
@@ -266,8 +266,8 @@ EVERY_MODE = {
 }
 
 
-@pytest.mark.parametrize("name", list(EVERY_MODE))
-def test_every_subcommand_writes_one_manifest_shape(name, tmp_path, capsys):
+def _every_mode_argv(argv, tmp_path):
+    """argv with its {swap}, {shift} and {table} input files written under tmp_path."""
     files = {
         "swap": tmp_path / "swap.json",
         "shift": tmp_path / "shift.json",
@@ -276,7 +276,22 @@ def test_every_subcommand_writes_one_manifest_shape(name, tmp_path, capsys):
     files["swap"].write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
     files["shift"].write_text(json.dumps({"M": [[1, 0], [0, 1]], "kappa": [1, 0]}))
     _write_table(files["table"], [3 * n**3 + n for n in range(30)])
-    argv = [arg.format(**files) for arg in EVERY_MODE[name]]
+    return [arg.format(**files) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in EVERY_MODE.values() if "--radius" in argv])
+def test_negative_radius_is_a_usage_error(argv, tmp_path, capsys):
+    argv = _every_mode_argv(argv, tmp_path)
+    argv[argv.index("--radius") + 1] = "-1"
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: radius must be nonnegative"]
+
+
+@pytest.mark.parametrize("name", list(EVERY_MODE))
+def test_every_subcommand_writes_one_manifest_shape(name, tmp_path, capsys):
+    argv = _every_mode_argv(EVERY_MODE[name], tmp_path)
     if name == "verify":
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1].startswith("passed ")

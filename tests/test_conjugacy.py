@@ -22,7 +22,7 @@ from nilgrowth.conjugacy import (
     conjugacy_growth_exact,
     conjugacy_growth_oracle,
     conjugacy_length_window_check,
-    direct_product_inequality_check,
+    direct_product_conjugacy_growth,
     hd_embeddings,
     merge_parts,
     new_labels,
@@ -99,7 +99,7 @@ def test_class_lengths_with_kappa_match_elementwise_keys(name, radius, kappa):
     wide = radius + max(map(abs, kappa)) if name == "H1" else None
     brute = twisted_growth_bruteforce(spec, gens, f, radius, conjugator_radius=wide)
     keys_per_part = {}
-    for g, root in brute.part_of.items():
+    for g, root in zip(brute.table.entries, brute.label.tolist()):
         keys_per_part.setdefault(root, set()).add(_twisted_key(spec, g, kappa))
     assert all(len(keys) == 1 for keys in keys_per_part.values())
     assert all(c <= b for c, b in zip(counts, brute.counts))
@@ -150,7 +150,7 @@ def test_counts_build_no_class_key_objects(monkeypatch):
     assert class_lengths(spec, table).counts(6) == conjugacy_growth_oracle(spec, gens, 6)
     f = make_automorphism(spec, identity_matrix(2), (2, -1))
     assert twisted_growth_structural(spec, f, 4, gens=gens) == twisted_growth_bruteforce(spec, gens, f, 4, 10).counts
-    assert direct_product_inequality_check(spec, named_spec("H2"), 2).ok
+    assert direct_product_conjugacy_growth(spec, make_group_spec(1, 0), 4) == _product_bfs_counts(named_spec("ZxH1"), 4)
     with pytest.raises(AssertionError, match="ConjClassKey"):
         dict(class_lengths(spec, table))
 
@@ -454,25 +454,44 @@ def test_verify_checks_the_specs_own_embeddings(monkeypatch):
     assert seen == [hd6, named_spec("HD2")]
 
 
+def _product_bfs_counts(spec, n):
+    return conjugacy_growth_exact(spec, standard_generating_set(spec), n)
+
+
 def test_direct_product_z_z():
-    z = make_group_spec(1, 0)
-    rep = direct_product_inequality_check(z, z, 5)
-    assert rep.ok
-    # abelian: classes are elements; the product counts are the l1 ball sizes
+    # abelian: classes are elements, so the product counts are the l1 ball sizes of Z^2
     from nilgrowth.gcdsums import l1_ball_count
 
-    assert rep.counts_a == [2 * m + 1 for m in range(11)]
-    assert rep.counts_product == [l1_ball_count(2, m) for m in range(11)]
+    z = make_group_spec(1, 0)
+    counts = direct_product_conjugacy_growth(z, z, 8)
+    assert counts == _product_bfs_counts(make_group_spec(2, 0), 8) == [l1_ball_count(2, m) for m in range(9)]
 
 
 def test_direct_product_h1_z():
-    rep = direct_product_inequality_check(named_spec("H1"), make_group_spec(1, 0), 5)
-    assert rep.ok
+    counts = direct_product_conjugacy_growth(named_spec("H1"), make_group_spec(1, 0), 8)
+    assert counts == _product_bfs_counts(named_spec("ZxH1"), 8)
+    assert counts[:4] == [1, 7, 25, 63]
 
 
-def test_direct_product_h1_h1():
-    rep = direct_product_inequality_check(named_spec("H1"), named_spec("H1"), 4)
-    assert rep.ok
+@st.composite
+def _product_cases(draw):
+    r = draw(st.integers(0, 2))
+    s = draw(st.integers(1 if r else 2, 2))
+    delta = (draw(st.integers(1, 3)),) if r == 2 else ()
+    dim = s + 2 * r
+    return s, r, delta, draw(st.integers(0, 5 if dim <= 4 else 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_product_cases())
+@example((1, 2, (1,), 5))
+@example((1, 2, (2,), 5))  # HD2 x Z
+@example((2, 1, (), 6))
+def test_direct_product_matches_product_bfs(case):
+    # Z^s x H_D as (Z^(s-1) x H_D) x Z, against the BFS of the product spec
+    s, r, delta, n = case
+    counts = direct_product_conjugacy_growth(make_group_spec(s - 1, r, delta), make_group_spec(1, 0), n)
+    assert counts == _product_bfs_counts(make_group_spec(s, r, delta), n)
 
 
 def test_subgroup_domination():
