@@ -6,9 +6,16 @@ The direct route is plain enumeration, factored one axis at a time.  A
 histogram hist[u, v] counts the partial points (over the axes folded so far)
 whose used l1 radius is u and whose running gcd is v.  Folding an axis maps
 each state through (u + |y|, gcd(v, |a + y|)) for every step y of that axis,
-with exact int64 counts, and the sum is sum_v v * hist[u, v] as a Python int.
-Cube axes cost nothing, so a cube is a single row; an l1 fold of radius N
-leaves one row per exact norm u <= N, and one pass gives S(0), ..., S(N).
+with exact int64 counts (a ball has fewer than 2^62 points).  The last axis is
+closed instead of folded: with R[v, c] the sum of gcd(v, |a + y|) over its
+steps y of cost c, each state (u, v) of count k adds k * R[v, c] to the sum at
+norm u + c, for the norms inside the ball.  Every such product and sum is a
+gcd sum over some of the ball's points, so at most points * (width - 1), and
+int64 is exact while that stays below 2^63; past it the closing runs in
+Python ints.  Both steps run over the histogram's support only, in blocks, so
+a sparse histogram costs what it holds.  Cube axes cost nothing, so a cube is
+a single row; an l1 ball of radius N keeps one row per exact norm u <= N, and
+one pass gives S(0), ..., S(N).
 
 The sieve route never enumerates points.  gcd(x) = sum_{e | x} phi(e) for
 x != 0 turns a ball sum into sum_e phi(e) * (#multiples of e in the ball,
@@ -30,7 +37,7 @@ from .words import check_budget
 
 CUBE = "cube"
 L1 = "l1"
-FOLD_BLOCK = 1 << 14  # cells of one gcd table block in a fold; its temporaries stay near 128 KB each
+FOLD_BLOCK = 1 << 14  # cells of one block of a fold or a closing; its temporaries stay near 128 KB each
 POINT_LIMIT = 1 << 62  # int64 histogram counts stay exact below this many points
 
 
@@ -70,12 +77,6 @@ def cube_ball_count(dim: int, radius: int) -> int:
     return (2 * radius + 1) ** dim
 
 
-def _check_points(points: int, budget: int | None) -> None:
-    if points >= POINT_LIMIT:
-        raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
-    check_budget(points, budget, "points of the gcd ball")
-
-
 def _totients(limit: int, budget: int | None) -> np.ndarray:
     """phi(0..limit) by a sieve over primes; the limit + 1 cells go through the budget."""
     check_budget(limit + 1, budget, "cells of the totient sieve")
@@ -87,52 +88,119 @@ def _totients(limit: int, budget: int | None) -> np.ndarray:
 
 
 def _axis(lo: int, hi: int, shift: int, l1: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps y in [lo, hi] grouped by (cost, value) with their multiplicities.
+    """Steps y in [lo, hi] grouped by (cost, value) with their multiplicities, sorted by cost, then value.
 
     The value is |y + shift|; the cost is |y| on an l1 axis and 0 on a cube axis.
+    One bincount over cost * width + value groups the pairs; its table has
+    (largest cost + 1) * (largest value + 1) cells, within the histogram's.
     """
     ys = np.arange(lo, hi + 1, dtype=np.int64)
     costs = np.abs(ys) if l1 else np.zeros_like(ys)
-    pairs, mults = np.unique(np.stack([costs, np.abs(ys + shift)]), axis=1, return_counts=True)
-    return pairs[0], pairs[1], mults
+    values = np.abs(ys + shift)
+    width = int(values.max()) + 1
+    mults = np.bincount(costs * width + values)
+    pairs = np.flatnonzero(mults)
+    return pairs // width, pairs % width, mults[pairs]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where the sorted array a starts a run of equal entries."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
 
 
 def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
     """Fold one axis into hist[u, v], the count of partial points with used radius u and running gcd v.
 
     Each state moves to (u + cost, gcd(v, value)) for every axis entry; states
-    whose used radius passes the last row drop out.  The gcd table is built in
-    row blocks of at most FOLD_BLOCK cells and scattered with exact int64 adds.
+    whose used radius passes the last row drop out.  The states go in blocks
+    of at most FOLD_BLOCK (state, entry) cells, in order of running gcd, so
+    the states of a block that share a gcd share one row of its gcd table;
+    they are scattered with exact int64 adds.
     """
     costs, values, mults = axis
     rows, width = hist.shape
     flat = hist.ravel()
     support = np.flatnonzero(flat)
-    cells = len(support) * len(values)
-    check_budget(cells, budget, "cells of the gcd fold")
+    check_budget(len(support) * len(values), budget, "cells of the gcd fold")
+    support = support[np.argsort(support % width)]
     used, gcd = np.divmod(support, width)
+    new = _run_starts(gcd)
+    distinct, rank = gcd[new], np.cumsum(new) - 1
     out = np.zeros_like(flat)
     step = max(1, FOLD_BLOCK // len(values))
     for lo in range(0, len(support), step):
         block = slice(lo, lo + step)
-        # An l1 block repeats each gcd once per used radius: take each distinct row once.
-        distinct, row = np.unique(gcd[block], return_inverse=True)
+        first = rank[lo]
+        table = np.gcd.outer(distinct[first : rank[block][-1] + 1], values)
         to_used = used[block, None] + costs
         keep = to_used < rows
-        target = to_used * width + np.gcd.outer(distinct, values)[row]
+        target = to_used * width + table[rank[block] - first]
         np.add.at(out, target[keep], (flat[support[block], None] * mults)[keep])
     return out.reshape(rows, width)
 
 
-def _direct_sums(axes: list, rows: int, budget: int | None) -> list[int]:
-    """Fold every axis into the empty point; entry u is the gcd sum over points of used radius u."""
-    width = 1 + max(int(values.max()) for _, values, _ in axes)
+def _close(hist: np.ndarray, axis, dtype, budget: int | None) -> list[int]:
+    """Close the last axis: entry m is the gcd sum over the points of used radius m.
+
+    R[v, c] sums mult * gcd(v, value) over the axis's entries of cost c; it has
+    a row per distinct running gcd and a column per cost, so no more cells than
+    the histogram, and is built in blocks of at most FOLD_BLOCK gcd cells.
+    Then the states, in order of used radius, go in blocks of at most
+    FOLD_BLOCK (state, cost) cells: q[u, c] sums k * R[v, c] over a block's
+    states (u, v) of count k, and entry u + c gains q[u, c] while u + c is in
+    the ball; a q[u, c] past the ball is dropped, and in int64 it may have
+    wrapped first.  That is no more work than folding the axis, and the
+    fold's cells go through the budget.
+    """
+    costs, values, mults = axis
+    rows, width = hist.shape
+    flat = hist.ravel()
+    support = np.flatnonzero(flat)
+    check_budget(len(support) * len(values), budget, "cells of the gcd fold")
+    used, gcd = np.divmod(support, width)
+    distinct, row = np.unique(gcd, return_inverse=True)
+    starts = np.flatnonzero(_run_starts(costs))
+    cost = costs[starts]
+    closing = np.empty((len(distinct), len(starts)), dtype)
+    step = max(1, FOLD_BLOCK // len(values))
+    for lo in range(0, len(distinct), step):
+        table = np.gcd.outer(distinct[lo : lo + step], values).astype(dtype, copy=False)
+        closing[lo : lo + step] = np.add.reduceat(table * mults, starts, axis=1)
+    count = flat[support].astype(dtype, copy=False)
+    per_norm = np.zeros(rows, dtype)
+    step = max(1, FOLD_BLOCK // len(starts))
+    for lo in range(0, len(support), step):
+        block = slice(lo, lo + step)
+        runs = np.flatnonzero(_run_starts(used[block]))
+        q = np.add.reduceat(count[block, None] * closing[row[block]], runs, axis=0)
+        to_used = used[block][runs, None] + cost
+        keep = to_used < rows
+        np.add.at(per_norm, to_used[keep], q[keep])
+    return per_norm.tolist()
+
+
+def _direct_sums(ranges: list[tuple[int, int, int]], l1: bool, points: int, budget: int | None) -> list[int]:
+    """Entry u is the gcd sum over the points of used radius u; each range (lo, hi, shift) is one axis.
+
+    Every axis but the last is folded into the histogram, and the last is
+    closed (see _close).  A count is at most points; an entry of R is at most
+    the axis's length, which is at most points, times width - 1; and a product
+    or sum that is kept is a gcd sum over some of the ball's points.  So all
+    are at most points * (width - 1): int64 is exact while that is below 2^63,
+    and the closing runs in Python ints past it.
+    """
+    if points >= POINT_LIMIT:
+        raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
+    check_budget(points, budget, "points of the gcd ball")
+    rows = 1 + max(max(-lo, hi) for lo, hi, _ in ranges) if l1 else 1
+    width = 1 + max(max(abs(lo + shift), abs(hi + shift)) for lo, hi, shift in ranges)
     check_budget(rows * width, budget, "cells of the gcd histogram")
+    axes = [_axis(lo, hi, shift, l1) for lo, hi, shift in ranges]
     hist = np.zeros((rows, width), dtype=np.int64)
     hist[0, 0] = 1
-    for axis in axes:
+    for axis in axes[:-1]:
         hist = _fold(hist, axis, budget)
-    return (hist.astype(object) @ np.arange(width, dtype=object)).tolist()
+    return _close(hist, axes[-1], np.int64 if points * (width - 1) < 2**63 else object, budget)
 
 
 def _box_sum(lo: list[int], hi: list[int], method: str, budget: int | None) -> int:
@@ -142,8 +210,8 @@ def _box_sum(lo: list[int], hi: list[int], method: str, budget: int | None) -> i
     zero point), over every e at once in Python ints.
     """
     if method == "direct":
-        _check_points(math.prod(h - l + 1 for l, h in zip(lo, hi)), budget)
-        return _direct_sums([_axis(l, h, 0, l1=False) for l, h in zip(lo, hi)], 1, budget)[0]
+        points = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        return _direct_sums([(l, h, 0) for l, h in zip(lo, hi)], False, points, budget)[0]
     if method != "sieve":
         raise SpecError(f"unknown method {method!r}")
     limit = max(abs(x) for x in lo + hi)
@@ -175,8 +243,7 @@ def l1_gcd_sums(
     ball = LatticeBallSpec(dim, radius, L1, tuple(offset))
     n = ball.radius
     if method == "direct":
-        _check_points(l1_ball_count(dim, n), budget)
-        per_norm = _direct_sums([_axis(-n, n, a, l1=True) for a in ball.offset], n + 1, budget)
+        per_norm = _direct_sums([(-n, n, a) for a in ball.offset], True, l1_ball_count(dim, n), budget)
         return list(accumulate(per_norm))
     if method != "sieve":
         raise SpecError(f"unknown method {method!r}")
@@ -267,7 +334,11 @@ def gcd_sum_fit(
         raise SpecError("need at least 3 strictly increasing radii")
     if radii[0] < 2:
         raise SpecError("radii must start at 2 or more")
-    sums = tuple(gcd_sum(LatticeBallSpec(dim, n, norm), budget=budget, method=method) for n in radii)
+    if norm == L1:
+        per_radius = l1_gcd_sums(dim, radii[-1], method=method, budget=budget)
+        sums = tuple(per_radius[n] for n in radii)
+    else:
+        sums = tuple(gcd_sum(LatticeBallSpec(dim, n, norm), budget=budget, method=method) for n in radii)
     r = float(ball_volume_constant(dim, norm))
     if dim == 2:
         ratios = tuple(s / (n * n * math.log(n)) for s, n in zip(sums, radii))

@@ -17,7 +17,6 @@ from nilgrowth.autos import (
     verify_automorphism,
 )
 from nilgrowth.conjugacy import (
-    class_key,
     class_modulus,
     conjugacy_growth_bounds,
     conjugacy_growth_exact,
@@ -30,7 +29,6 @@ from nilgrowth.groups import (
     inverse,
     multiply,
     named_spec,
-    standard_generators,
 )
 from nilgrowth.intlinalg import identity_matrix
 from nilgrowth.series import non_holonomy_report, select_asymptotic_model

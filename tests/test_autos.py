@@ -29,7 +29,7 @@ from nilgrowth.autos import (
 from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact
 from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
-from nilgrowth.groups import abelianize, multiply, named_spec, standard_generators
+from nilgrowth.groups import abelianize, named_spec, standard_generators
 from nilgrowth.intlinalg import (
     hermite_normal_form,
     hnf_reduce,

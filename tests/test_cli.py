@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_STRUCTURAL, EXIT_USAGE, build_parser, load_spec, main
+from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, build_parser, load_spec, main
 from nilgrowth.errors import SpecError
 
 
