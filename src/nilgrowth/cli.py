@@ -360,10 +360,13 @@ def main(argv=None) -> int:
         is_table = isinstance(result, tuple)
         header, rows, *extra = result if is_table else (None, None)
         manifest = _manifest(args, spec, started, *extra)
-        if is_table:
-            _emit_table(args.out, header, rows, manifest)
-        else:
-            _emit_report(args.out, result, manifest)
+        try:
+            if is_table:
+                _emit_table(args.out, header, rows, manifest)
+            else:
+                _emit_report(args.out, result, manifest)
+        except OSError as exc:
+            raise SpecError(f"cannot write output: {exc}") from exc
         return EXIT_OK
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

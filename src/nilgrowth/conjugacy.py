@@ -23,14 +23,15 @@ from .groups import (
     Vector,
     abelianize,
     array_dtype,
+    broken_relators,
     central_element,
     check_element,
-    commutator,
     element_bound,
     inverse_array,
     make_group_spec,
     multiply_array,
     omega_apply,
+    omega_form,
     power_array,
     product_bound,
     standard_generators,
@@ -471,10 +472,7 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
     phi_x = (x * scale)[np.lexsort((x * scale).T)]
     injective_ok = bool((phi_x[1:] != phi_x[:-1]).any(axis=1).all())  # sorted, so equal rows would be adjacent
     # the relators [x_p, x_q] = c^{omega_pq} hold for the generator images (phi fixes c)
-    std, images = standard_generators(spec), list(map(tuple, (gens * scale).tolist()))
-    relators_ok = all(
-        commutator(hr, images[p], images[q]) == commutator(spec, std[p], std[q]) for p in range(2 * r) for q in range(p)
-    )
+    relators_ok = not broken_relators(hr, (gens * scale).tolist(), omega_form(spec))
 
     # index of phi(H_D) in Gamma_2 = H_r: labels are a-coordinates mod w_t
     def reduce2(y: np.ndarray) -> np.ndarray:

@@ -113,28 +113,22 @@ def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
 
     Each state moves to (u + cost, gcd(v, value)) for every axis entry; states
     whose used radius passes the last row drop out.  The states go in blocks
-    of at most FOLD_BLOCK (state, entry) cells, in order of running gcd, so
-    the states of a block that share a gcd share one row of its gcd table;
-    they are scattered with exact int64 adds.
+    of at most FOLD_BLOCK (state, entry) cells, each block's gcds computed
+    directly and scattered with exact int64 adds.
     """
     costs, values, mults = axis
     rows, width = hist.shape
     flat = hist.ravel()
     support = np.flatnonzero(flat)
     check_budget(len(support) * len(values), budget, "cells of the gcd fold")
-    support = support[np.argsort(support % width)]
     used, gcd = np.divmod(support, width)
-    new = _run_starts(gcd)
-    distinct, rank = gcd[new], np.cumsum(new) - 1
     out = np.zeros_like(flat)
     step = max(1, FOLD_BLOCK // len(values))
     for lo in range(0, len(support), step):
         block = slice(lo, lo + step)
-        first = rank[lo]
-        table = np.gcd.outer(distinct[first : rank[block][-1] + 1], values)
         to_used = used[block, None] + costs
         keep = to_used < rows
-        target = to_used * width + table[rank[block] - first]
+        target = to_used * width + np.gcd(gcd[block, None], values)
         np.add.at(out, target[keep], (flat[support[block], None] * mults)[keep])
     return out.reshape(rows, width)
 

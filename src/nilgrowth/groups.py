@@ -279,6 +279,21 @@ def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:
     return mul(mul(mul(g, h), inv(g)), inv(h))
 
 
+def broken_relators(spec: GroupSpec, images, form) -> list[tuple[int, int]]:
+    """The pairs p < q with [images[p], images[q]] != c^{form[p][q]}.
+
+    For the standard generators and omega_form(spec) these are the defining
+    relators; by von Dyck's theorem, x_p -> images[p], c -> c^eps is a
+    homomorphism exactly when none break for form = eps * Omega.
+    """
+    return [
+        (p, q)
+        for q in range(len(images))
+        for p in range(q)
+        if commutator(spec, images[p], images[q]) != central_element(spec, form[p][q])
+    ]
+
+
 def conjugate(spec: GroupSpec, x: Element, g: Element) -> Element:
     """x g x^-1, computed by composition."""
     return spec.mul(spec.mul(x, g), spec.inv(x))

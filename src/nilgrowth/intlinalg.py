@@ -36,12 +36,6 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def vec_mat(v, a: Matrix):
-    if len(v) != len(a):
-        raise SpecError("vector/matrix size mismatch")
-    return tuple(sum(v[p] * a[p][q] for p in range(len(v))) for q in range(len(a[0])))
-
-
 def _rref(rows: list[list[Fraction]]):
     """Reduced row echelon form in place; returns pivot column list."""
     pivots = []

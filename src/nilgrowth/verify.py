@@ -33,6 +33,7 @@ from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, l1_gcd_sums, positi
 from .groups import (
     GroupSpec,
     array_dtype,
+    broken_relators,
     central_element,
     commutator,
     commutator_form,
@@ -42,6 +43,7 @@ from .groups import (
     multiply,
     multiply_array,
     named_spec,
+    omega_form,
     power,
     product_bound,
     standard_generators,
@@ -79,16 +81,10 @@ def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
 
 
 def check_relators(spec: GroupSpec) -> None:
-    gens = standard_generators(spec)
-    s = spec.s
-    for t in range(spec.r):
-        a, b = gens[s + 2 * t], gens[s + 2 * t + 1]
-        if commutator(spec, a, b) != central_element(spec, spec.weights[t]):
-            raise StructuralError(f"pair {t} commutator misses c^w")
-        for u in range(t + 1, spec.r):
-            for x in (gens[s + 2 * u], gens[s + 2 * u + 1]):
-                if commutator(spec, a, x) != spec.identity():
-                    raise StructuralError("cross-pair commutator is nontrivial")
+    """The defining relators [x_p, x_q] = c^{Omega_pq} of the standard generators, z slots included."""
+    broken = broken_relators(spec, standard_generators(spec), omega_form(spec))
+    if broken:
+        raise StructuralError(f"relators [x_p, x_q] = c^(Omega_pq) fail for (p, q) in {broken}")
 
 
 def check_form_matches_commutators(spec: GroupSpec) -> None:

@@ -108,12 +108,17 @@ def test_verify_battery():
 def test_verify_rejects_broken():
     # hand-built object with a wrong sign is caught
     bad = Automorphism(m=((1, 0), (0, 1)), kappa=(0, 0), eps=-1, images=((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="relators_ok=False"):
         verify_automorphism(H1, bad, trials=10)
     # b -> b^-1 with c -> c is no homomorphism: the fuzz fails
     flip = Automorphism(m=((1, 0), (0, -1)), kappa=(0, 0), eps=1, images=((1, 0, 0), (0, -1, 0)))
     with pytest.raises(StructuralError, match="homomorphism_ok=False"):
         verify_automorphism(H1, flip, trials=10)
+    # H2 with M = I but a2 -> a2 b1: [f(a1), f(a2)] = [a1, a2 b1] = c, where the relator needs 1
+    images = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0))
+    bent = Automorphism(m=identity_matrix(4), kappa=(0,) * 4, eps=1, images=images)
+    with pytest.raises(StructuralError, match="relators_ok=False"):
+        verify_automorphism(named_spec("H2"), bent, trials=10)
 
 
 def _matrix(spec, kind):
@@ -144,6 +149,33 @@ def test_apply_array_matches_tuple_law(name, kind, big, data):
     rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * spec.ncoords), min_size=1, max_size=8))
     got = apply_automorphism_array(spec, f, np.array(rows, dtype=dtype))
     assert got.tolist() == [list(apply_automorphism(spec, f, g)) for g in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["H1", "H2", "H3", "ZxH1", "HD2"]),
+    st.sampled_from(["identity", "-I", "swap", "shear"]),
+    st.sampled_from([1, 2**70]),
+    st.data(),
+)
+def test_inverse_by_composition(name, kind, scale, data):
+    spec = named_spec(name)
+    kappa = data.draw(st.lists(st.integers(-5, 5).map(lambda x: x * scale), min_size=spec.dim, max_size=spec.dim))
+    f = make_automorphism(spec, _matrix(spec, kind), kappa)
+    finv = inverse_automorphism(spec, f)
+    for x in standard_generators(spec):
+        assert apply_automorphism(spec, finv, apply_automorphism(spec, f, x)) == x
+        assert apply_automorphism(spec, f, apply_automorphism(spec, finv, x)) == x
+    comp = compose_automorphisms(spec, f, finv)
+    assert comp.m == identity_matrix(spec.dim) and comp.kappa == (0,) * spec.dim
+
+
+def test_inverse_outside_the_matrix_group_is_structural():
+    # a hand-built H2 object whose matrix b1 <-> a2 is unimodular but pairs a1 with a2 and b1 with b2
+    m = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    bad = Automorphism(m=m, kappa=(0,) * 4, eps=1, images=tuple(row + (0,) for row in m))
+    with pytest.raises(StructuralError, match="inverse matrix left the matrix group"):
+        inverse_automorphism(named_spec("H2"), bad)
 
 
 def test_inverse_round_trip():

@@ -396,3 +396,12 @@ def test_threads_flag_is_gone(tmp_path):
     out = tmp_path / "ball.csv"
     assert main(["ball", "--spec", "H1", "--radius", "2", "--out", str(out)]) == EXIT_OK
     assert "threads" not in json.loads((tmp_path / "ball.csv.manifest.json").read_text())["parameters"]
+
+
+@pytest.mark.parametrize("argv", [["ball", "--spec", "H1", "--radius", "3"], ["embeddings", "--spec", "HD2"]])
+def test_output_into_a_missing_directory_is_a_usage_error(argv, tmp_path, capsys):
+    # a table (with its sidecar) and a report, each written under a directory that does not exist
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not out.parent.exists()

@@ -217,6 +217,24 @@ def test_relator_suite():
                 assert commutator(spec, g, gens[zpos]) == spec.identity()
 
 
+def test_relator_check_covers_the_z_slots():
+    import nilgrowth.verify as verify
+    from nilgrowth.errors import StructuralError
+
+    spec = named_spec("ZxH1")
+    verify.check_relators(spec)
+    law = spec.mul
+
+    def z_before_a(g, h):
+        # z a picks up a c that a z does not, so [z, a] = c; every Heisenberg relator still holds
+        out = law(g, h)
+        return out[:-1] + (out[-1] + g[0] * h[1],)
+
+    object.__setattr__(spec, "mul", z_before_a)  # a fresh spec, so no other test sees the patch
+    with pytest.raises(StructuralError, match=r"\(0, 1\)"):
+        verify.check_relators(spec)
+
+
 def test_power_matches_repeated_multiply():
     rng = random.Random(19)
     for name in ALL_NAMED:
