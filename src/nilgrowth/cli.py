@@ -104,14 +104,19 @@ def _emit_table(out: str | None, header: list[str], rows, manifest: dict) -> Non
         writer.writerows(rows)
         return
     path = Path(out)
-    sidecar = path.name + ".manifest.json"
+    sidecar = Path(path.parent, path.name + ".manifest.json")
     manifest["output"] = path.name
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest: {sidecar}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    Path(path.parent, sidecar).write_text(json.dumps(manifest, indent=2) + "\n")
+    # The sidecar goes first and is removed if the table fails, so a failed write leaves neither behind.
+    sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# manifest: {sidecar.name}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError:
+        sidecar.unlink()
+        raise
 
 
 def _emit_report(out: str | None, report: dict, manifest: dict) -> None:

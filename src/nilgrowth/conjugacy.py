@@ -214,7 +214,12 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     per_sphere = []
     for keys in table.spheres:
         body, digit = np.divmod(keys, codec.radix_k)
-        m = _class_moduli(spec, codec, keys, kappa)
+        # A sorted sphere holds each body as one run of keys, and the modulus depends on the body alone:
+        # compute it at each run's first key and read it back through the run index of every key.
+        first = np.empty(len(body), dtype=bool)
+        first[:1] = True
+        np.not_equal(body[1:], body[:-1], out=first[1:])
+        m = _class_moduli(spec, codec, keys[first], kappa)[np.cumsum(first) - 1]
         resid = np.where(m > 0, (digit - codec.k_bound) % np.maximum(m, 1), digit)
         per_sphere.append(sorted_unique(body * radix + resid))
     keys = np.concatenate(per_sphere)

@@ -10,7 +10,12 @@ cross term).  Ascending key order is lexicographic coordinate order.
 The step set is symmetric, so every neighbour of sphere L lies in sphere
 L-1, L or L+1.  Sphere L+1 is therefore the one-step expansion of sphere L
 minus spheres L and L-1, and each sphere is kept as a sorted key array with
-no ball-wide seen set.
+no ball-wide seen set.  Right multiplication by a fixed step adds a constant
+to the body and a shift to k that depends only on the body, so it keeps
+(body, k) order: each step's row of the expansion of a sorted sphere is
+sorted.  One stable sort (a timsort, which merges sorted runs) of spheres
+L-1 and L and those rows, with the candidates tagged, then yields sphere
+L+1 as the tagged keys that come first among their equals.
 """
 from __future__ import annotations
 
@@ -26,7 +31,8 @@ from .errors import BudgetError, SpecError
 from .groups import Element, GroupSpec, standard_generators
 
 DEFAULT_BUDGET = 10**8
-# Packed keys stay below this, so a key plus one step's delta cannot overflow int64.
+# Packed keys stay below this, so a key plus one step's delta cannot overflow int64,
+# nor can a key doubled and tagged in the sphere step (2 * key + 1 < 2^63).
 KEY_LIMIT = 2**62
 
 
@@ -127,14 +133,15 @@ class KeyCodec:
     def _offset(self, g: Element) -> int:
         return sum(x * stride for x, stride in zip(g, self.strides))
 
-    def pack_rows(self, coords: np.ndarray) -> np.ndarray:
-        """The key of every (..., ncoords) coordinate row, or -1 for a row outside the coordinate bounds.
+    def pack_rows(self, coords: np.ndarray, bounds) -> np.ndarray:
+        """The key of every (..., ncoords) coordinate row, or -1 for a row with some |x_p| > bounds[p].
 
-        Every row is packed and the rows outside are then masked, so a row far
-        outside, whose int64 key may wrap, never reads as a valid key; rows of
-        another dtype (exact Python ints) are zeroed outside before conversion.
+        bounds lie within the codec's own.  Every row is packed and the rows
+        outside are then masked, so a row far outside, whose int64 key may
+        wrap, never reads as a valid key; rows of another dtype (exact Python
+        ints) are zeroed outside before conversion.
         """
-        inside = (np.abs(coords) <= self.bounds).all(axis=-1)
+        inside = (np.abs(coords) <= bounds).all(axis=-1)
         if coords.dtype != np.int64:
             coords = np.where(inside[..., None], coords, 0).astype(np.int64)
         return np.where(inside, self.identity + coords @ np.array(self.strides, dtype=np.int64), -1)
@@ -152,26 +159,26 @@ class KeyCodec:
         """Coordinate tuples, in key order."""
         return list(map(tuple, self.coords(keys).tolist()))
 
-    def expand(self, keys: np.ndarray) -> np.ndarray:
-        """Keys of every one-step product g*x, g in keys, x in the step set (with repeats)."""
-        out = keys[:, None] + self.deltas[None, :]
+    def expand(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill the (steps, len(keys)) array out with the keys of every one-step product: row i holds g*x_i, g in keys.
+
+        The k shift of g*x depends only on x and the body of g, so every row
+        of a sorted keys array is sorted.
+        """
+        for row, delta in zip(out, self.deltas.tolist()):
+            np.add(keys, delta, out=row)
         for pos, corr in self.cross:
-            out += self.column(keys, pos)[:, None] * corr[None, :]
-        return out.ravel()
+            col = self.column(keys, pos)
+            for row, c in zip(out, corr.tolist()):
+                if c:
+                    row += col * c
+        return out
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """np.unique by sorting: numpy's hash-based unique is far slower on large int64 arrays."""
     keys = np.sort(keys)
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
-
-
-def sorted_difference(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """The keys not in other; both sorted."""
-    if not len(other):
-        return keys
-    pos = np.searchsorted(other, keys).clip(max=len(other) - 1)
-    return keys[other[pos] != keys]
 
 
 def _spheres(codec: KeyCodec, n: int, cap: int):
@@ -182,10 +189,24 @@ def _spheres(codec: KeyCodec, n: int, cap: int):
     """
     prev = np.empty(0, dtype=np.int64)
     cur = np.array([codec.identity], dtype=np.int64)
+    steps = len(codec.deltas)
     total = 1
     for level in range(1, n + 1):
-        # prev and cur are disjoint sorted runs, which the stable sort merges in linear time.
-        nxt = sorted_difference(sorted_unique(codec.expand(cur)), np.sort(np.concatenate((prev, cur)), kind="stable"))
+        # prev, cur and each step row of the candidates are sorted runs; doubled keys tag the candidates odd,
+        # so a candidate sorts after an equal key of prev or cur and survives only when first among its equals.
+        old = len(prev) + len(cur)
+        buf = np.empty(old + steps * len(cur), dtype=np.int64)
+        np.concatenate((prev, cur), out=buf[:old])
+        codec.expand(cur, buf[old:].reshape(steps, len(cur)))
+        buf <<= 1
+        buf[old:] |= 1
+        buf.sort(kind="stable")
+        first = np.empty(len(buf), dtype=bool)
+        np.bitwise_and(buf, 1, out=first, casting="unsafe")
+        buf >>= 1
+        first[1:] &= buf[1:] != buf[:-1]
+        nxt = buf[first]
+        del buf, first  # not held across the yield, while the consumer works on nxt
         yield level, nxt
         total += len(nxt)
         check_budget(total, cap, f"stored elements of the radius-{level} ball")
@@ -246,9 +267,14 @@ class BallTable:
             return self
         return BallTable(spec=self.spec, radius=r, codec=self.codec, spheres=self.spheres[: r + 1])
 
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """The largest |x_p| over this ball for every coordinate p: within the codec's bounds, and tighter on a prefix."""
+        return np.abs(self.coords).max(axis=0)
+
     def index(self, coords: np.ndarray) -> np.ndarray:
         """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
-        keys = self.codec.pack_rows(coords)
+        keys = self.codec.pack_rows(coords, self._bounds)
         ordered, order = self._sorted
         pos = np.searchsorted(ordered, keys).clip(max=len(ordered) - 1)
         return np.where(ordered[pos] == keys, order[pos], -1)
@@ -286,7 +312,7 @@ def word_length(
     if g == spec.identity():
         return 0
     codec = KeyCodec(spec, _step_set(spec, gens), cutoff)
-    target = int(codec.pack_rows(np.array(g, dtype=object)))
+    target = int(codec.pack_rows(np.array(g, dtype=object), codec.bounds))
     if target < 0:
         return None
     for level, keys in _spheres(codec, cutoff, cap):
@@ -305,8 +331,9 @@ def central_growth(
     """beta_<c>(m) for m = 0..n: how many c^k lie in the m-ball."""
     table = enumerate_ball(spec, gens, n, budget=budget)
     codec = table.codec
-    centre = codec.identity // codec.radix_k
-    counts = [int(np.count_nonzero(keys // codec.radix_k == centre)) for keys in table.spheres]
+    # The keys of the c^k are those of the identity's body, one run of each sorted sphere.
+    lo = codec.identity // codec.radix_k * codec.radix_k
+    counts = [int(np.diff(np.searchsorted(keys, (lo, lo + codec.radix_k)))[0]) for keys in table.spheres]
     return list(accumulate(counts))
 
 

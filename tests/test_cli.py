@@ -405,3 +405,13 @@ def test_output_into_a_missing_directory_is_a_usage_error(argv, tmp_path, capsys
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert _one_line_error(capsys)
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("blocked", ["x.csv.manifest.json", "x.csv"])
+def test_a_failed_table_write_leaves_nothing_behind(blocked, tmp_path, capsys):
+    # a directory in the way of the sidecar, or of the table itself: exit 2, one error line, and neither file on disk
+    (tmp_path / blocked).mkdir()
+    assert main(["ball", "--spec", "H1", "--radius", "2", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert (tmp_path / blocked).is_dir()

@@ -12,7 +12,9 @@ from nilgrowth.conjugacy import class_key, class_lengths
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.groups import central_element, inverse, make_group_spec, multiply, named_spec
 from nilgrowth.words import (
+    KEY_LIMIT,
     GeneratingSet,
+    _step_set,
     bass_guivarch_exponent,
     central_growth,
     check_budget,
@@ -175,6 +177,9 @@ def _specs_and_gens(draw):
     return spec, GeneratingSet(tuple(gens)), draw(st.integers(0, 4 if len(gens) <= 3 else 3))
 
 
+TOP_OF_KEY_RANGE = GeneratingSet(((12013, 0, 0), (0, 12013, 0), (0, 0, 3629657)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_specs_and_gens())
 @example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5))
@@ -182,6 +187,16 @@ def _specs_and_gens(draw):
 @example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4))
 # Class modulus 2 * 2 = 4 above the k radix 2 * 1 + 1 of the radius-1 ball.
 @example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1))
+# An identity generator alone: every sphere past the identity is empty.
+@example((make_group_spec(1, 0), GeneratingSet(((0, 0),)), 1))
+# Deep balls: spheres L-1 and L and every step row of the sphere step are long sorted runs.
+@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 10))
+@example((named_spec("H2"), standard_generating_set(named_spec("H2")), 5))
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5))
+@example((named_spec("ZxH1"), standard_generating_set(named_spec("ZxH1")), 6))
+# The top of the key range: the radix product is just below 2^62 (see test_key_overflow_is_a_spec_error), so the
+# sphere step's doubled and tagged keys 2 * key + 1 run just below 2^63.
+@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3))
 def test_engine_matches_dense_reference(case):
     spec, gens, n = case
     table = enumerate_ball(spec, gens, n)
@@ -204,6 +219,21 @@ def test_engine_matches_dense_reference(case):
     assert (table.index(np.array(outside).reshape(-1, spec.ncoords)) == -1).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens())
+def test_expand_rows_of_a_sorted_sphere_are_sorted(case):
+    # The sphere step merges each step's row as one sorted run: right multiplication by a fixed step keeps key order.
+    spec, gens, n = case
+    table = enumerate_ball(spec, gens, n)
+    codec, steps = table.codec, _step_set(spec, gens)
+    for keys in table.spheres[:-1]:  # products of the last sphere may leave the codec's bounds
+        rows = codec.expand(keys, np.empty((len(steps), len(keys)), dtype=np.int64))
+        assert (np.diff(rows, axis=1) > 0).all()
+        elements = codec.unpack(keys)
+        for row, x in zip(rows, steps):
+            assert codec.unpack(row) == [multiply(spec, g, x) for g in elements]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_specs_and_gens(), st.data())
 def test_prefix_matches_fresh_ball(case, data):
@@ -218,6 +248,18 @@ def test_prefix_matches_fresh_ball(case, data):
     assert prefix.index(fresh.coords).tolist() == list(range(len(fresh.keys)))
     if r < big:
         assert (prefix.index(ball.codec.coords(ball.spheres[r + 1])) == -1).all()
+    # rows inside the ball's wider codec bounds but past the prefix's own |x_p| bound on one coordinate
+    wide, own = np.array(ball.codec.bounds), np.abs(fresh.coords).max(axis=0)
+    beyond = []
+    for p in np.flatnonzero(own < wide):
+        for sign in (1, -1):
+            rows = fresh.coords.copy()
+            rows[:, p] = sign * (own[p] + 1)
+            beyond.append(rows)
+    if beyond:
+        beyond = np.concatenate(beyond)
+        assert (np.abs(beyond) <= wide).all()
+        assert (prefix.index(beyond) == -1).all()
     with pytest.raises(SpecError):
         ball.prefix(big + 1)
 
@@ -242,6 +284,10 @@ def test_key_overflow_is_a_spec_error():
         enumerate_ball(spec, huge, 3)
     with pytest.raises(SpecError, match="64-bit"):
         word_length(spec, (1, 0, 0), huge, 3)
+    # just below the limit: the radius-3 ball of TOP_OF_KEY_RANGE is accepted and its keys reach the top of the range
+    table = enumerate_ball(spec, TOP_OF_KEY_RANGE, 3)
+    assert KEY_LIMIT - 2**28 < table.codec.strides[0] * table.codec.radices[0] < KEY_LIMIT
+    assert table.keys.max() > KEY_LIMIT - KEY_LIMIT // 2**16
 
 
 def test_word_length_budget():
