@@ -22,18 +22,15 @@ from .groups import (
     GroupSpec,
     Vector,
     abelianize,
-    array_dtype,
     broken_relators,
     central_element,
     check_element,
-    element_bound,
     inverse_array,
     make_group_spec,
     multiply_array,
     omega_apply,
     omega_form,
     power_array,
-    product_bound,
     standard_generators,
 )
 from .words import (
@@ -129,7 +126,7 @@ def part_lengths(label: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return least[label == np.arange(len(label))]
 
 
-# Rows of one block of the (conjugator row x ball) product in merge_conjugates.
+# Images of one block of the (conjugator row x ball) product in merge_conjugates.
 ROW_BLOCK = 4096
 
 
@@ -137,20 +134,69 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
     """Merge the part of every ball element h with that of fx[i] h x[i]^-1, for every conjugator row i, in place.
 
     fx = x merges conjugates; fx = f(x) merges f-twisted conjugates.  x and fx
-    are (rows, ncoords) arrays.  The products are computed in int64 while
-    every coordinate bound stays below 2^62, else in exact Python ints, and in
-    blocks of about ROW_BLOCK image rows, each merged as it is made.
+    are (rows, ncoords) arrays of int64 or exact Python ints.
+
+    Every image is computed as a key, never as a coordinate row.  With
+    u = fx[i] and v = x[i]^-1, the body of u h v is body(h) + shift, where
+    shift = body(u) + body(v), and its k is affine in h: c + sum_p lin_p h_p,
+    as h enters the product once.  shift, c and lin come from multiply_array
+    on the zero vector and the unit vectors, in exact ints, so the group law
+    is read in one place.  With B_p the largest |h_p| over the table, a row
+    that shifts some body coordinate p by more than 2 B_p, or whose c puts
+    every image's |k| past B_k, maps nothing into the table and is dropped.
+
+    The kept rows' images are packed in int64 under a codec whose body digits
+    cover B_p + max |shift_p|, and whose k digit covers |k| <= B_k + 1: an
+    image's k is clipped to that range, and the two end values, which no
+    table element takes, stand for every k outside the table's.  The packing
+    is then injective on the images that can be in the table, so one
+    searchsorted against the table's keys, repacked under that codec, finds
+    them.  Taken in the table's key order, the images of one row come out
+    sorted, which keeps the search fast.  Blocks of about ROW_BLOCK images
+    are merged as they are made.  A codec or a k term of KEY_LIMIT or more
+    raises SpecError, so no int64 sum can wrap.
     """
-    bx = element_bound(x)
-    bound = product_bound(spec, product_bound(spec, element_bound(fx), table.codec.reach), product_bound(spec, bx, bx))
-    dtype = array_dtype(bound)
-    coords = table.coords.astype(dtype, copy=False)
-    fx = fx.astype(dtype)[:, None]
-    xinv = inverse_array(spec, x.astype(dtype))[:, None]
-    block = max(1, ROW_BLOCK // len(coords))
-    for lo in range(0, len(xinv), block):
+    ordered, order = table._sorted
+    coords = table.codec.coords(ordered).T  # the table in key order
+    bound, nc = np.abs(coords).max(axis=1).astype(object), spec.ncoords
+    probes = np.eye(nc + 1, nc, -1, dtype=np.int64).astype(object)  # the zero vector, then the unit vectors
+    u = fx.astype(object)[:, None]
+    v = inverse_array(spec, x.astype(object))[:, None]
+    image = multiply_array(spec, multiply_array(spec, u, probes), v)
+    shift, c = image[:, 0, :-1], image[:, 0, -1]
+    lin = image[:, 1:, -1] - c[:, None]
+    # the largest |k - c| of a row's images over the table
+    reach = np.abs(lin) @ bound
+    keep = (np.abs(shift) <= 2 * bound[:-1]).all(axis=1) & (np.abs(c) <= bound[-1] + reach)
+    if not keep.any():
+        return
+    shift, c, lin, reach = shift[keep], c[keep], lin[keep], reach[keep]
+    offsets = (bound[:-1] + np.abs(shift).max(axis=0)).tolist() + [bound[-1] + 1]
+    strides = [prod(2 * b + 1 for b in offsets[p + 1 :]) for p in range(nc)]
+    radix = strides[0] * (2 * offsets[0] + 1)
+    # every int64 term of an image's k: c + lin h and its partial sums, and lin itself where B_p = 0
+    k_reach = max(int((np.abs(c) + reach).max()), int(np.abs(lin).max()))
+    if radix >= KEY_LIMIT or k_reach >= KEY_LIMIT:
+        raise SpecError(
+            f"conjugate images of this ball do not fit 64-bit keys (radix product {radix}, k terms up to {k_reach})"
+        )
+    strides, offsets = np.array(strides, dtype=np.int64), np.array(offsets, dtype=np.int64)
+    # the body digits of every table element in key order, and its keys under the wider codec, then a sentinel
+    body = strides[:-1] @ coords[:-1] + offsets[:-1] @ strides[:-1]
+    keys = np.append(body + coords[-1] + offsets[-1], np.iinfo(np.int64).max)
+    base = (shift.astype(np.int64) @ strides[:-1] + offsets[-1])[:, None]
+    c, lin = c.astype(np.int64)[:, None], lin.astype(np.int64)
+    block = max(1, ROW_BLOCK // len(order))
+    for lo in range(0, len(c), block):
         part = slice(lo, lo + block)
-        merge_images(label, table.index(multiply_array(spec, multiply_array(spec, fx[part], coords), xinv[part])))
+        img = lin[part] @ coords
+        img += c[part]
+        np.clip(img, -offsets[-1], offsets[-1], out=img)
+        img += body
+        img += base[part]
+        pos = np.searchsorted(keys, img)
+        hit = keys[pos] == img
+        merge_parts(label, np.broadcast_to(order, img.shape)[hit], order[pos[hit]])
 
 
 class ClassLengths(Mapping):

@@ -296,12 +296,13 @@ def test_ball_and_conjugator_ball_share_one_budget():
 
 
 def _on_every_pair(spec, block, kappa=None):
-    """The automorphism acting by the 2x2 block on every (a_t, b_t) pair of H_D."""
-    m = [[0] * spec.dim for _ in range(spec.dim)]
+    """The automorphism acting by the 2x2 block on every (a_t, b_t) pair and fixing the z slots."""
+    m = [[int(p == q) for q in range(spec.dim)] for p in range(spec.dim)]
     for t in range(spec.r):
+        a = spec.s + 2 * t
         for i in range(2):
             for j in range(2):
-                m[2 * t + i][2 * t + j] = block[i][j]
+                m[a + i][a + j] = block[i][j]
     return make_automorphism(spec, m, kappa)
 
 

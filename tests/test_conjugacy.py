@@ -1,6 +1,7 @@
 """Class keys vs orbit closure, sandwich bounds, windows, embeddings, products."""
 from __future__ import annotations
 
+import json
 import random
 from math import prod
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilgrowth.autos import make_automorphism, twisted_growth_bruteforce, twisted_growth_structural
+from nilgrowth import conjugacy
+from nilgrowth.autos import (
+    apply_automorphism,
+    make_automorphism,
+    swap_automorphism,
+    twisted_growth_bruteforce,
+    twisted_growth_structural,
+)
+from nilgrowth.cli import EXIT_USAGE, main
 from nilgrowth.conjugacy import (
     CENTRAL_EXACT_RADIUS,
     ConjClassKey,
@@ -24,6 +33,7 @@ from nilgrowth.conjugacy import (
     conjugacy_length_window_check,
     direct_product_conjugacy_growth,
     hd_embeddings,
+    merge_conjugates,
     merge_parts,
     new_labels,
     part_lengths,
@@ -33,7 +43,10 @@ from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import l1_gcd_sums
 from nilgrowth.groups import central_element, conjugate, make_group_spec, named_spec
 from nilgrowth.intlinalg import identity_matrix
-from nilgrowth.words import central_growth, cumulative_counts, enumerate_ball, standard_generating_set
+from nilgrowth.words import GeneratingSet, central_growth, cumulative_counts, enumerate_ball, standard_generating_set
+
+from test_autos import _on_every_pair
+from test_words import TOP_OF_KEY_RANGE, _specs_and_gens
 
 
 def test_class_modulus_examples():
@@ -258,6 +271,68 @@ def test_label_merge_matches_union_find(size, data):
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, reference.values()))
     least = sorted(min(lengths[i] for i in part) for part in reference.values())
     assert sorted(part_lengths(label, np.array(lengths))) == least
+
+
+BLOCKS = {"I": ((1, 0), (0, 1)), "-I": ((-1, 0), (0, -1)), "swap": ((0, 1), (1, 0)), "shear": ((1, 1), (0, 1))}
+
+
+@st.composite
+def _merge_cases(draw):
+    """(spec, gens, ball radius, table radius, conjugator radius, block name, kappa)."""
+    spec, gens, n = draw(_specs_and_gens())
+    radii = draw(st.integers(0, n)), draw(st.integers(0, n))
+    kappa = draw(st.lists(st.sampled_from([0, 1, -2, 2**70]), min_size=spec.dim, max_size=spec.dim))
+    return spec, gens, n, *radii, draw(st.sampled_from(sorted(BLOCKS))), tuple(kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_merge_cases())
+# Under gens b and c, f = swap maps h = b^-1 c by c^-1 to b^-1 c^3, one past the table's k bound 2, and by c^-2 to
+# b^-1 c^5.  Packed under the table's own codec, b^-1 c^3 aliases c^-2; with one more k digit on each side,
+# b^-1 c^5 does.  Both are a body step from c^-2, which is in the table.
+@example((named_spec("H1"), GeneratingSet(((0, 1, 0), (0, 0, 1))), 2, 2, 2, "swap", (0, 0)))
+# Under f = -I, x = b^-1 maps h = b to b h b = b^3, a shift of 2 B_b; in the table's own body digits b^3 aliases a.
+@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 1, 1, 1, "-I", (0, 0)))
+# The radius-1 prefix of a ball at the top of the key range (see test_words), merged as the twisted count at n = 1
+# with conjugator radius 1 merges it: a and b entries of 12013 make cross terms near 2^27.
+@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3, 1, 1, "swap", (0, 0)))
+@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3, 1, 1, "shear", (2**70, -2)))
+def test_merge_conjugates_matches_union_find(case):
+    # the key-space merge against a union-find over table.entries, built from tuple products
+    spec, gens, n, radius, conjugator_radius, block, kappa = case
+    ball = enumerate_ball(spec, gens, n)
+    table, conj = ball.prefix(radius), ball.prefix(conjugator_radius)
+    f = _on_every_pair(spec, BLOCKS[block], kappa)
+    x = conj.coords[:: -(-len(conj.keys) // 16)]  # at most 16 rows, spread over the conjugator ball
+    rows = list(map(tuple, x.tolist()))
+    images = [apply_automorphism(spec, f, g) for g in rows]
+    label = new_labels(len(table.keys))
+    merge_conjugates(spec, table, label, x, np.array(images, dtype=object))
+    index = {g: i for i, g in enumerate(table.entries)}
+    uf = UnionFind()
+    for g, fg in zip(rows, images):
+        ginv = spec.inv(g)
+        for h, i in index.items():
+            j = index.get(spec.mul(spec.mul(fg, h), ginv))
+            if j is not None:
+                uf.union(i, j)
+    least = {}
+    for i in range(len(index)):
+        least.setdefault(uf.find(i), i)
+    assert label.tolist() == [least[uf.find(i)] for i in range(len(index))]
+
+
+def test_merge_refuses_keys_past_the_limit(monkeypatch, tmp_path, capsys):
+    # a codec past KEY_LIMIT is a SpecError, never a wrapped key: the count, and the CLI's exit 2 with one error line
+    monkeypatch.setattr(conjugacy, "KEY_LIMIT", 2**10)
+    h1 = named_spec("H1")
+    with pytest.raises(SpecError, match="do not fit 64-bit keys"):
+        twisted_growth_bruteforce(h1, standard_generating_set(h1), swap_automorphism(h1), 3)
+    auto = tmp_path / "swap.json"
+    auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
+    assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: conjugate images of this ball do not fit 64-bit keys")
 
 
 def test_oracle_guard():
