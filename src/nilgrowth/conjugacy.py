@@ -42,7 +42,7 @@ from .words import (
     check_budget,
     cumulative_counts,
     enumerate_ball,
-    sorted_unique,
+    run_keys,
     standard_generating_set,
 )
 
@@ -239,13 +239,15 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     """Minimal word length per class key (abel, k mod class_modulus(abel, kappa)) over the ball.
 
     kappa = () gives conjugacy classes; for the automorphism (I, kappa) the
-    same key gives twisted classes.  Runs on the sphere key arrays: a class
-    key packs as body * radix + r, with r = k mod m for the modulus m > 0 and
-    r = k + k_bound (the k digit itself) when m = 0.  The radix covers both
-    the k digit and the largest modulus over the ball, which a shift kappa
-    can push past the k digit.  Each sphere's distinct class keys are stacked
-    in level order and stably sorted once, so the first entry of each key
-    carries its least length.
+    same key gives twisted classes.  A class key packs as body * radix + r,
+    with r = k mod m for the modulus m > 0 and r = k + k_bound (the k digit
+    itself) when m = 0.  The radix covers both the k digit and the largest
+    modulus over the ball, which a shift kappa can push past the k digit.
+    Keys are read off the runs of every sphere at once: a run lies in one
+    body, so its m is that of its first key, and its class keys are the run
+    [r, r + len - 1] when m = 0 and min(len, m) residues from its first k,
+    wrapped once at m, when m > 0.  One sort of those keys then groups each
+    class, and its least length is the least level in its group.
     """
     if table.spec != spec:
         raise SpecError("ball table was enumerated for another spec")
@@ -257,23 +259,27 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     bodies = codec.strides[0] * codec.radices[0] // codec.radix_k
     if bodies * radix >= KEY_LIMIT:
         raise SpecError(f"class keys of this ball do not fit 64-bit packed keys (radix {radix})")
-    per_sphere = []
-    for keys in table.spheres:
-        body, digit = np.divmod(keys, codec.radix_k)
-        # A sorted sphere holds each body as one run of keys, and the modulus depends on the body alone:
-        # compute it at each run's first key and read it back through the run index of every key.
-        first = np.empty(len(body), dtype=bool)
-        first[:1] = True
-        np.not_equal(body[1:], body[:-1], out=first[1:])
-        m = _class_moduli(spec, codec, keys[first], kappa)[np.cumsum(first) - 1]
-        resid = np.where(m > 0, (digit - codec.k_bound) % np.maximum(m, 1), digit)
-        per_sphere.append(sorted_unique(body * radix + resid))
-    keys = np.concatenate(per_sphere)
-    levels = np.repeat(np.arange(len(per_sphere)), [len(k) for k in per_sphere])
-    order = np.argsort(keys, kind="stable")
+    lo, hi = table.flat_runs
+    level = np.repeat(np.arange(len(table.runs), dtype=np.int32), [len(lo) for lo, _ in table.runs])
+    body, digit = np.divmod(lo, codec.radix_k)
+    m = _class_moduli(spec, codec, lo, kappa)
+    reduced = m > 0
+    first = np.where(reduced, (digit - codec.k_bound) % np.maximum(m, 1), digit)
+    last = first + np.where(reduced, np.minimum(hi - lo, m - 1), hi - lo)
+    # a residue run past m - 1 wraps to a second run from 0
+    wraps = reduced & (last >= m)
+    body *= radix
+    lo = np.concatenate((body + first, body[wraps]))
+    hi = np.concatenate((body + np.where(wraps, m - 1, last), (body + last - m)[wraps]))
+    level = np.concatenate((level, level[wraps]))
+    del body, digit, m, reduced, first, last, wraps  # the per-key arrays below are the peak
+    keys = run_keys(lo, hi)
+    order = np.argsort(keys)
     keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return ClassLengths(spec, codec, radix, kappa, keys[first], levels[order][first])
+    levels = np.repeat(level, hi - lo + 1)[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return ClassLengths(spec, codec, radix, kappa, keys[first], np.minimum.reduceat(levels, first))
 
 
 def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray, kappa: Vector) -> np.ndarray:

@@ -5,17 +5,18 @@ finite generating set (inverses added automatically).  Every element of a
 radius-n ball is packed into one int64 key: a mixed-radix number over its
 coordinates in order, each offset by an a-priori bound (n times the largest
 step entry for a non-central coordinate, O(n^2) for k through the weighted
-cross term).  Ascending key order is lexicographic coordinate order.
+cross term).  Ascending key order is lexicographic coordinate order, and k is
+the last digit, so the keys of one abelian body v are consecutive.
 
-The step set is symmetric, so every neighbour of sphere L lies in sphere
-L-1, L or L+1.  Sphere L+1 is therefore the one-step expansion of sphere L
-minus spheres L and L-1, and each sphere is kept as a sorted key array with
-no ball-wide seen set.  Right multiplication by a fixed step adds a constant
-to the body and a shift to k that depends only on the body, so it keeps
-(body, k) order: each step's row of the expansion of a sorted sphere is
-sorted.  One stable sort (a timsort, which merges sorted runs) of spheres
-L-1 and L and those rows, with the candidates tagged, then yields sphere
-L+1 as the tagged keys that come first among their equals.
+The search holds every sphere as runs [lo, hi] of consecutive keys, each
+inside one body: the elements (v, k) with k in an interval.  Right
+multiplication by a step adds a constant to the body and to k a shift that
+depends only on the body, so it moves a whole run: the image of [lo, hi] is
+[lo', lo' + hi - lo].  The step set is symmetric, so the ball B_{L+1} is B_L
+and the one-step images of sphere L.  Their union is read off the candidate
+starts and ends, each sorted once; sphere L+1 is then B_{L+1} minus B_L, the
+gaps between B_L's runs inside B_{L+1}'s.  Sizes, central counts and word
+lengths read the runs; per-element keys are built only when asked for.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from .errors import BudgetError, SpecError
 from .groups import Element, GroupSpec, standard_generators
 
 DEFAULT_BUDGET = 10**8
-# Packed keys stay below this, so a key plus one step's delta cannot overflow int64,
-# nor can a key doubled and tagged in the sphere step (2 * key + 1 < 2^63).
+# Packed keys stay below this, so a key plus one step's shift cannot overflow int64, nor can it part way through
+# KeyCodec.expand, which adds the shift in parts.
 KEY_LIMIT = 2**62
 
 
@@ -124,11 +125,20 @@ class KeyCodec:
         self.reach = (max(body, default=0), k_bound)
         self.radix_k = self.radices[-1]
         self.identity = sum(b * stride for b, stride in zip(self.bounds, self.strides))
-        self.deltas = np.array([self._offset(x) for x in steps], dtype=np.int64)
-        # (j_t digit position, -w_t i_t(x) per step) for every pair some step moves along a_t.
-        self.cross = [
-            (a + 1, np.array([-w * x[a] for x in steps], dtype=np.int64)) for w, a in pairs if any(x[a] for x in steps)
-        ]
+        # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
+        # j_t(g) as its digit less the digit's offset bound, and that offset part is folded into the shift here.
+        # A pair's digit products go to the span of steps from the first to the last one that moves along a_t.
+        deltas = [self._offset(x) for x in steps]
+        self.cross = []  # (j_t stride, j_t radix, span of steps, -w_t i_t(x) per step x of the span) per pair
+        for w, a in pairs:
+            corr = [-w * x[a] for x in steps]
+            moves = [i for i, c in enumerate(corr) if c]
+            if moves:
+                span = slice(moves[0], moves[-1] + 1)
+                deltas = [d - c * self.bounds[a + 1] for d, c in zip(deltas, corr)]
+                column = np.array(corr[span], dtype=np.int64)[:, None]
+                self.cross.append((self.strides[a + 1], self.radices[a + 1], span, column))
+        self.deltas = np.array(deltas, dtype=np.int64)[:, None]
 
     def _offset(self, g: Element) -> int:
         return sum(x * stride for x, stride in zip(g, self.strides))
@@ -165,66 +175,95 @@ class KeyCodec:
         The k shift of g*x depends only on x and the body of g, so every row
         of a sorted keys array is sorted.
         """
-        for row, delta in zip(out, self.deltas.tolist()):
-            np.add(keys, delta, out=row)
-        for pos, corr in self.cross:
-            col = self.column(keys, pos)
-            for row, c in zip(out, corr.tolist()):
-                if c:
-                    row += col * c
+        np.add(keys, self.deltas, out=out)
+        for stride, radix, span, corr in self.cross:
+            out[span] += corr * (keys // stride % radix)
         return out
 
 
-def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique by sorting: numpy's hash-based unique is far slower on large int64 arrays."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+def run_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every key of the runs [lo, hi] (lo <= hi), run by run: a cumulative sum of ones and the jumps between runs."""
+    ends = np.cumsum(hi - lo + 1)
+    keys = np.ones(ends[-1] if len(ends) else 0, dtype=np.int64)
+    if len(keys):
+        keys[0] = lo[0]
+        keys[ends[:-1]] = lo[1:] - hi[:-1]
+        np.cumsum(keys, out=keys)
+    return keys
+
+
+def run_size(lo: np.ndarray, hi: np.ndarray) -> int:
+    """How many keys the runs [lo, hi] hold."""
+    return int((hi - lo).sum()) + len(lo)
 
 
 def _spheres(codec: KeyCodec, n: int, cap: int):
-    """Yield (L, sorted keys of sphere L) for L = 1..n, checking the cumulative ball size against cap.
+    """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap.
 
     A sphere's budget check runs when the consumer asks for the next one, so a
     length search that stops at the sphere holding its target skips it.
     """
-    prev = np.empty(0, dtype=np.int64)
-    cur = np.array([codec.identity], dtype=np.int64)
+    lo = hi = np.array([codec.identity], dtype=np.int64)  # the ball's runs so far
+    sphere_lo, span = lo, np.zeros(1, dtype=np.int64)  # the last sphere's runs: starts, and lengths less one
     steps = len(codec.deltas)
     total = 1
     for level in range(1, n + 1):
-        # prev, cur and each step row of the candidates are sorted runs; doubled keys tag the candidates odd,
-        # so a candidate sorts after an equal key of prev or cur and survives only when first among its equals.
-        old = len(prev) + len(cur)
-        buf = np.empty(old + steps * len(cur), dtype=np.int64)
-        np.concatenate((prev, cur), out=buf[:old])
-        codec.expand(cur, buf[old:].reshape(steps, len(cur)))
-        buf <<= 1
-        buf[old:] |= 1
-        buf.sort(kind="stable")
-        first = np.empty(len(buf), dtype=bool)
-        np.bitwise_and(buf, 1, out=first, casting="unsafe")
-        buf >>= 1
-        first[1:] &= buf[1:] != buf[:-1]
-        nxt = buf[first]
-        del buf, first  # not held across the yield, while the consumer works on nxt
-        yield level, nxt
-        total += len(nxt)
+        # The candidates, starts in row 0 and ends in row 1: the ball's runs, then every step's image of the last
+        # sphere's.  Each neighbour of the ball outside it is a neighbour of the last sphere, and a step moves a
+        # whole run: its end keeps its distance from its start.
+        old, size = len(lo), len(sphere_lo)
+        cand = np.empty((2, old + steps * size), dtype=np.int64)
+        cand[0, :old], cand[1, :old] = lo, hi
+        moved = cand[:, old:].reshape(2, steps, size)
+        codec.expand(sphere_lo, moved[0])
+        np.add(moved[0], span, out=moved[1])
+        cand.sort()
+        starts, ends = cand
+        # Their union: a run breaks before start i when it passes every end before it by more than one,
+        # or by exactly one at the first key of a body, so no run leaves its body.
+        gap = starts[1:] - ends[:-1]
+        cut = np.empty(len(starts) + 1, dtype=bool)
+        cut[0] = cut[-1] = True
+        np.greater(gap, 1, out=cut[1:-1])
+        touch = (gap == 1).nonzero()[0] + 1
+        if len(touch):
+            cut[touch] = starts[touch] % codec.radix_k == 0
+        # (compress, not a boolean index: it is far faster on masks without long runs)
+        new_lo, new_hi = starts.compress(cut[:-1]), ends.compress(cut[1:])
+        del cand, moved, starts, ends, gap, cut, touch  # freed before the gaps are built
+        # Sphere L+1 is the new ball minus the old, which lies inside it: the gaps between the old runs in each
+        # new run, paired in order.  A gap is empty where an old run meets a new run's end.
+        runs = len(new_lo)
+        gaps = np.empty((2, runs + old), dtype=np.int64)
+        gaps[0, :runs], gaps[1, :runs] = new_lo, new_hi
+        np.add(hi, 1, out=gaps[0, runs:])
+        np.subtract(lo, 1, out=gaps[1, runs:])
+        gaps.sort()
+        sphere = gaps.compress(gaps[0] <= gaps[1], axis=1)
+        del gaps  # not held across the yield
+        yield level, sphere[0], sphere[1]
+        sphere_lo, span = sphere[0], sphere[1] - sphere[0]
+        total += int(span.sum()) + len(span)
         check_budget(total, cap, f"stored elements of the radius-{level} ball")
-        prev, cur = cur, nxt
+        lo, hi = new_lo, new_hi
 
 
 @dataclass(eq=False)
 class BallTable:
-    """Exact word lengths for the radius-n ball: one sorted key array per sphere."""
+    """Exact word lengths for the radius-n ball: each sphere as its sorted, disjoint runs of consecutive keys.
+
+    The per-element arrays (spheres, keys, coords, entries, the index) are
+    built from the runs on first use.
+    """
 
     spec: GroupSpec
     radius: int
     codec: KeyCodec
-    spheres: list[np.ndarray]
+    runs: list[tuple[np.ndarray, np.ndarray]]  # (lo, hi) of every sphere
 
-    @property
+    @cached_property
     def sphere_sizes(self) -> list[int]:
-        return [len(keys) for keys in self.spheres]
+        return [run_size(lo, hi) for lo, hi in self.runs]
 
     def ball_sizes(self) -> list[int]:
         """Cumulative counts beta(m) for m = 0..radius."""
@@ -235,10 +274,20 @@ class BallTable:
         """Element -> word length, sphere by sphere and lexicographic within a sphere."""
         return dict(zip(self.codec.unpack(self.keys), self.lengths.tolist()))
 
+    @property
+    def flat_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of every sphere in one (lo, hi) pair of arrays, sphere by sphere."""
+        return np.concatenate([lo for lo, _ in self.runs]), np.concatenate([hi for _, hi in self.runs])
+
     @cached_property
     def keys(self) -> np.ndarray:
         """Every key of the ball in the order of entries: sphere by sphere, sorted within a sphere."""
-        return np.concatenate(self.spheres)
+        return run_keys(*self.flat_runs)
+
+    @cached_property
+    def spheres(self) -> list[np.ndarray]:
+        """The sorted keys of every sphere, as views of keys."""
+        return np.split(self.keys, list(accumulate(self.sphere_sizes[:-1])))
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -248,7 +297,7 @@ class BallTable:
     @cached_property
     def lengths(self) -> np.ndarray:
         """The word length of every row of keys."""
-        return np.repeat(np.arange(len(self.spheres)), self.sphere_sizes)
+        return np.repeat(np.arange(len(self.runs)), self.sphere_sizes)
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +314,15 @@ class BallTable:
             raise SpecError(f"prefix radius {r} outside 0..{self.radius}")
         if r == self.radius:
             return self
-        return BallTable(spec=self.spec, radius=r, codec=self.codec, spheres=self.spheres[: r + 1])
+        return BallTable(spec=self.spec, radius=r, codec=self.codec, runs=self.runs[: r + 1])
 
     @cached_property
     def _bounds(self) -> np.ndarray:
-        """The largest |x_p| over this ball for every coordinate p: within the codec's bounds, and tighter on a prefix."""
-        return np.abs(self.coords).max(axis=0)
+        """The largest |x_p| over this ball for every coordinate p: within the codec's bounds, and tighter on a prefix.
+
+        A run's body is fixed and its k runs between its two ends, so the run ends carry every largest |x_p|.
+        """
+        return np.abs(self.codec.coords(np.concatenate(self.flat_runs))).max(axis=0)
 
     def index(self, coords: np.ndarray) -> np.ndarray:
         """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
@@ -291,9 +343,9 @@ def enumerate_ball(
         raise SpecError("radius must be nonnegative")
     cap = resolve_budget(budget)
     codec = KeyCodec(spec, _step_set(spec, gens), n)
-    spheres = [np.array([codec.identity], dtype=np.int64)]
-    spheres += [keys for _, keys in _spheres(codec, n, cap)]
-    return BallTable(spec=spec, radius=n, codec=codec, spheres=spheres)
+    identity = np.array([codec.identity], dtype=np.int64)
+    runs = [(identity, identity)] + [(lo, hi) for _, lo, hi in _spheres(codec, n, cap)]
+    return BallTable(spec=spec, radius=n, codec=codec, runs=runs)
 
 
 def word_length(
@@ -315,9 +367,10 @@ def word_length(
     target = int(codec.pack_rows(np.array(g, dtype=object), codec.bounds))
     if target < 0:
         return None
-    for level, keys in _spheres(codec, cutoff, cap):
-        pos = np.searchsorted(keys, target)
-        if pos < len(keys) and keys[pos] == target:
+    for level, lo, hi in _spheres(codec, cutoff, cap):
+        # the last run starting at or before the target holds it, if any run does
+        pos = np.searchsorted(lo, target, side="right") - 1
+        if pos >= 0 and hi[pos] >= target:
             return level
     return None
 
@@ -331,9 +384,12 @@ def central_growth(
     """beta_<c>(m) for m = 0..n: how many c^k lie in the m-ball."""
     table = enumerate_ball(spec, gens, n, budget=budget)
     codec = table.codec
-    # The keys of the c^k are those of the identity's body, one run of each sorted sphere.
-    lo = codec.identity // codec.radix_k * codec.radix_k
-    counts = [int(np.diff(np.searchsorted(keys, (lo, lo + codec.radix_k)))[0]) for keys in table.spheres]
+    # The c^k are the identity's body, whose runs in each sphere are those starting in its key range.
+    body = codec.identity // codec.radix_k * codec.radix_k
+    counts = []
+    for lo, hi in table.runs:
+        a, b = np.searchsorted(lo, (body, body + codec.radix_k))
+        counts.append(run_size(lo[a:b], hi[a:b]))
     return list(accumulate(counts))
 
 

@@ -46,7 +46,7 @@ from nilgrowth.intlinalg import identity_matrix
 from nilgrowth.words import GeneratingSet, central_growth, cumulative_counts, enumerate_ball, standard_generating_set
 
 from test_autos import _on_every_pair
-from test_words import TOP_OF_KEY_RANGE, _specs_and_gens
+from test_words import TOP_OF_KEY_RANGE, _specs_and_gens, _twisted_key
 
 
 def test_class_modulus_examples():
@@ -81,11 +81,6 @@ def test_class_modulus_is_orbit_gcd_bruteforce():
         shifts.add(conjugate(spec, x, g)[-1])
     nonzero = sorted(abs(v) for v in shifts if v)
     assert nonzero[0] == class_modulus(spec, (0, 0, 1, 0)) == 2
-
-
-def _twisted_key(spec, g, kappa):
-    m = class_modulus(spec, g[:-1], kappa)
-    return ConjClassKey(g[:-1], g[-1] % m if m else g[-1])
 
 
 @settings(max_examples=40, deadline=None)

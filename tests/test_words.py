@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilgrowth.conjugacy import class_key, class_lengths
+from nilgrowth.conjugacy import ConjClassKey, class_key, class_lengths, class_modulus
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.groups import central_element, inverse, make_group_spec, multiply, named_spec
 from nilgrowth.words import (
@@ -22,6 +22,7 @@ from nilgrowth.words import (
     cumulative_counts,
     enumerate_ball,
     growth_exponent_fit,
+    run_keys,
     standard_generating_set,
     word_length,
 )
@@ -164,6 +165,19 @@ def _reference_class_lengths(spec, entries):
     return lengths
 
 
+def _twisted_key(spec, g, kappa):
+    m = class_modulus(spec, g[:-1], kappa)
+    return ConjClassKey(g[:-1], g[-1] % m if m else g[-1])
+
+
+def _reference_twisted_lengths(spec, entries, kappa):
+    """Least length per key (abel, k mod class_modulus(abel, kappa)), element by element."""
+    lengths = {}
+    for g, l in entries.items():
+        lengths.setdefault(_twisted_key(spec, g, kappa), l)
+    return lengths
+
+
 @st.composite
 def _specs_and_gens(draw):
     r = draw(st.integers(0, 2))
@@ -178,32 +192,48 @@ def _specs_and_gens(draw):
 
 
 TOP_OF_KEY_RANGE = GeneratingSet(((12013, 0, 0), (0, 12013, 0), (0, 0, 3629657)))
+KAPPAS = st.lists(st.integers(-12, 12), min_size=5, max_size=5)  # cut to the spec's dim
 
 
 @settings(max_examples=60, deadline=None)
-@given(_specs_and_gens())
-@example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5))
-@example((named_spec("H1"), GeneratingSet(standard_generating_set(named_spec("H1")).gens + ((0, 0, 1),)), 4))
-@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4))
+@given(_specs_and_gens(), KAPPAS)
+@example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5), [3, -2, 0, 0, 0])
+@example((named_spec("H1"), GeneratingSet(standard_generating_set(named_spec("H1")).gens + ((0, 0, 1),)), 4), [0] * 5)
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4), [1, 0, -4, 6, 0])
 # Class modulus 2 * 2 = 4 above the k radix 2 * 1 + 1 of the radius-1 ball.
-@example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1))
+@example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1), [0, 0, 0, 0, 0])
 # An identity generator alone: every sphere past the identity is empty.
-@example((make_group_spec(1, 0), GeneratingSet(((0, 0),)), 1))
-# Deep balls: spheres L-1 and L and every step row of the sphere step are long sorted runs.
-@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 10))
-@example((named_spec("H2"), standard_generating_set(named_spec("H2")), 5))
-@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5))
-@example((named_spec("ZxH1"), standard_generating_set(named_spec("ZxH1")), 6))
+@example((make_group_spec(1, 0), GeneratingSet(((0, 0),)), 1), [2, 0, 0, 0, 0])
+# Runs that touch across a body boundary must not merge: on Z^2 the radius-2 sphere holds (-1, 2) and (0, -2),
+# consecutive keys of bodies -1 and 0 (k radix 5).
+@example((make_group_spec(1, 0), GeneratingSet(((1, -1), (0, 1))), 2), [0] * 5)
+# Deep balls: many runs per sphere, and residue runs that wrap at the modulus.
+@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 10), [-10, -1, 0, 0, 0])
+@example((named_spec("H2"), standard_generating_set(named_spec("H2")), 5), [5, 0, -3, 7, 0])
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5), [0] * 5)
+@example((named_spec("ZxH1"), standard_generating_set(named_spec("ZxH1")), 6), [6, 4, -9, 0, 0])
 # The top of the key range: the radix product is just below 2^62 (see test_key_overflow_is_a_spec_error), so the
-# sphere step's doubled and tagged keys 2 * key + 1 run just below 2^63.
-@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3))
-def test_engine_matches_dense_reference(case):
+# run ends and the gap ends lo - 1 and hi + 1 of the sphere step run just below 2^62.
+@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3), [0] * 5)
+def test_engine_matches_dense_reference(case, kappa):
     spec, gens, n = case
     table = enumerate_ball(spec, gens, n)
     ref = _reference_ball(spec, gens, n)
     assert list(table.entries.items()) == list(ref.items())
     assert table.sphere_sizes == [list(ref.values()).count(l) for l in range(n + 1)]
+    # The runs: each sphere's sorted keys exactly, as maximal runs sorted and disjoint, each inside one body.
+    codec = table.codec
+    for level, (lo, hi) in enumerate(table.runs):
+        sphere = np.array([g for g, l in ref.items() if l == level]).reshape(-1, spec.ncoords)
+        sphere = codec.pack_rows(sphere, codec.bounds)
+        assert run_keys(lo, hi).tolist() == table.spheres[level].tolist() == sorted(sphere.tolist())
+        assert (lo <= hi).all() and (hi[:-1] < lo[1:]).all()
+        assert (lo // codec.radix_k == hi // codec.radix_k).all()
+        touching = hi[:-1] + 1 == lo[1:]
+        assert (lo[1:][touching] // codec.radix_k != hi[:-1][touching] // codec.radix_k).all()
     assert class_lengths(spec, table) == _reference_class_lengths(spec, ref)
+    kappa = tuple(kappa[: spec.dim])
+    assert class_lengths(spec, table, kappa) == _reference_twisted_lengths(spec, ref, kappa)
     central = [sum(1 for g, l in ref.items() if l <= m and not any(g[:-1])) for m in range(n + 1)]
     assert central_growth(spec, gens, n) == central
     for g, l in list(ref.items())[:: max(1, len(ref) // 5)]:
@@ -222,16 +252,19 @@ def test_engine_matches_dense_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(_specs_and_gens())
 def test_expand_rows_of_a_sorted_sphere_are_sorted(case):
-    # The sphere step merges each step's row as one sorted run: right multiplication by a fixed step keeps key order.
+    # The sphere step moves each run whole, from its start alone: right multiplication by a fixed step shifts every
+    # key of a body by the same amount, so it keeps key order and a run's end keeps its distance from its start.
     spec, gens, n = case
     table = enumerate_ball(spec, gens, n)
     codec, steps = table.codec, _step_set(spec, gens)
-    for keys in table.spheres[:-1]:  # products of the last sphere may leave the codec's bounds
+    for keys, (lo, hi) in zip(table.spheres[:-1], table.runs):  # products of the last sphere may leave the bounds
         rows = codec.expand(keys, np.empty((len(steps), len(keys)), dtype=np.int64))
         assert (np.diff(rows, axis=1) > 0).all()
         elements = codec.unpack(keys)
         for row, x in zip(rows, steps):
             assert codec.unpack(row) == [multiply(spec, g, x) for g in elements]
+        moved = [codec.expand(ends, np.empty((len(steps), len(lo)), dtype=np.int64)) for ends in (lo, hi)]
+        assert (moved[1] - moved[0] == hi - lo).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,6 +295,33 @@ def test_prefix_matches_fresh_ball(case, data):
         assert (prefix.index(beyond) == -1).all()
     with pytest.raises(SpecError):
         ball.prefix(big + 1)
+
+
+def test_sizes_central_counts_and_lengths_build_no_keys(monkeypatch, tmp_path):
+    # They read the sphere runs alone: no per-element key array is built, through the API or the CLI.
+    import nilgrowth.words as words
+    from nilgrowth.cli import EXIT_OK, main
+
+    spec = named_spec("HD2")
+    gens = standard_generating_set(spec)
+    table = enumerate_ball(spec, gens, 6)
+    sizes = np.bincount(table.lengths).tolist()
+    central = [sum(1 for g, l in table.entries.items() if l <= m and not any(g[:-1])) for m in range(7)]
+    far = next(g for g, l in table.entries.items() if l == 6)
+
+    def refuse(*args):
+        raise AssertionError("per-element keys were built")
+
+    monkeypatch.setattr(words, "run_keys", refuse)
+    fresh = enumerate_ball(spec, gens, 6)
+    assert fresh.sphere_sizes == sizes and fresh.ball_sizes()[-1] == len(table.keys)
+    assert central_growth(spec, gens, 6) == central
+    assert word_length(spec, far, gens, 6) == 6 and word_length(spec, far, gens, 5) is None
+    assert fresh.prefix(3).ball_sizes() == table.ball_sizes()[:4]
+    for argv in (["ball"], ["growth", "--mode", "central"], ["growth", "--mode", "word"]):
+        assert main(argv + ["--spec", "HD2", "--radius", "6", "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    with pytest.raises(AssertionError, match="per-element"):
+        fresh.keys
 
 
 def test_negative_budget_is_refused(monkeypatch):
