@@ -20,15 +20,12 @@ from .groups import (
     Element,
     GroupSpec,
     Vector,
-    array_dtype,
     broken_relators,
     check_element,
-    element_bound,
     multiply_array,
     omega_form,
     power,
     power_array,
-    product_bound,
     standard_generators,
 )
 from .intlinalg import (
@@ -122,24 +119,16 @@ def apply_automorphism(spec: GroupSpec, f: Automorphism, g: Element) -> Element:
 
 
 def apply_automorphism_array(spec: GroupSpec, f: Automorphism, g: np.ndarray) -> np.ndarray:
-    """Row-wise f(g) over (..., ncoords) coordinate arrays; the normal-form product of apply_automorphism."""
-    images = np.array(f.images, dtype=g.dtype)
-    acc = np.zeros_like(g)
-    for p in range(spec.dim):
+    """Row-wise f(g) over (..., ncoords) coordinate arrays; the normal-form product of apply_automorphism.
+
+    The image rows are exact Python ints (an object array) whatever the dtype of g.
+    """
+    images = np.array(f.images, dtype=object)
+    acc = power_array(spec, images[0], g[..., 0])
+    for p in range(1, spec.dim):
         acc = multiply_array(spec, acc, power_array(spec, images[p], g[..., p]))
     acc[..., -1] += f.eps * g[..., -1]
     return acc
-
-
-def _image_bound(spec: GroupSpec, f: Automorphism, x: tuple[int, int]) -> tuple[int, int]:
-    """Bounds (off k, on k) on the coordinates of f(g), given those of g (see product_bound)."""
-    e, kappa = element_bound(f.images)
-    # image_p^m with |m| <= x[0]: |m| e off k; |m kappa_p - C(m, 2) q_p| with |q_p| <= sum(w) e^2 on k
-    step = (x[0] * e, x[0] * kappa + x[0] * x[0] * (sum(spec.weights) * e * e + 1))
-    acc = (0, 0)
-    for _ in range(spec.dim):
-        acc = product_bound(spec, acc, step)
-    return acc[0], acc[1] + x[1]
 
 
 def gamma_sample(spec: GroupSpec, f: Automorphism, v: Vector) -> int:
@@ -193,6 +182,9 @@ def inverse_automorphism(spec: GroupSpec, f: Automorphism) -> Automorphism:
     return make_automorphism(spec, minv, [-f.eps * apply_automorphism(spec, f, x)[-1] for x in bare.images])
 
 
+FUZZ_BLOCK = 1024  # trials per block of the homomorphism fuzz
+
+
 @dataclass
 class VerifyReport:
     trials: int
@@ -207,16 +199,18 @@ class VerifyReport:
 
 def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000) -> VerifyReport:
     """Relators [f(x_p), f(x_q)] = c^{eps Omega_pq} (see broken_relators), homomorphism fuzz, inverse round-trip."""
-    image = _image_bound(spec, f, (9, 9))
-    dtype = array_dtype(_image_bound(spec, f, product_bound(spec, (9, 9), (9, 9))), product_bound(spec, image, image))
-    # trial t draws g = pairs[t, 0] and h = pairs[t, 1], in one choices call; numpy.random is left
-    # out because numpy does not import it, and its first import costs ~6 MB of RSS
-    draws = random.Random(0).choices(range(-9, 10), k=2 * trials * spec.ncoords)
-    pairs = np.array(draws, dtype=dtype).reshape(trials, 2, spec.ncoords)
-    g, h = pairs[:, 0], pairs[:, 1]
-    lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))
-    rhs = multiply_array(spec, apply_automorphism_array(spec, f, g), apply_automorphism_array(spec, f, h))
-    hom_ok = bool((lhs == rhs).all())
+    # trial t draws g = pairs[t, 0] and h = pairs[t, 1] with coordinates in -9..9 (uint16 % 19: each value within
+    # 2e-5 of 1/19), FUZZ_BLOCK trials at a time so the exact-int temporaries stay small; numpy.random is left out
+    # because numpy does not import it, and its first import costs ~6 MB of RSS
+    rng, hom_ok = random.Random(0), True
+    for start in range(0, trials, FUZZ_BLOCK):
+        size = 2 * min(FUZZ_BLOCK, trials - start) * spec.ncoords
+        draws = np.frombuffer(rng.randbytes(2 * size), dtype="<u2") % 19
+        pairs = (draws.astype(object) - 9).reshape(-1, 2, spec.ncoords)
+        g, h = pairs[:, 0], pairs[:, 1]
+        lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))
+        rhs = multiply_array(spec, apply_automorphism_array(spec, f, g), apply_automorphism_array(spec, f, h))
+        hom_ok &= bool((lhs == rhs).all())
     finv = inverse_automorphism(spec, f)
     inverse_ok = all(
         apply_automorphism(spec, finv, apply_automorphism(spec, f, x)) == x
@@ -252,10 +246,9 @@ def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii
     if f.eps == 1:
         keys, first = np.unique(keys - (keys % codec.radix_k - codec.k_bound), return_index=True)
         lengths = lengths[first]
-    dtype = array_dtype(_image_bound(spec, f, codec.reach))
     label = new_labels(len(table.keys))
     for lo, hi in zip((-1,) + radii, radii):
-        x = codec.coords(keys[(lo < lengths) & (lengths <= hi)]).astype(dtype)
+        x = codec.coords(keys[(lo < lengths) & (lengths <= hi)])
         merge_conjugates(spec, table, label, x, apply_automorphism_array(spec, f, x))
         yield label
 
@@ -374,8 +367,7 @@ def extension_conjugacy_growth(
         table = ball.prefix(ni)
         (label,) = _twisted_partition(automorphism_power(spec, f, i), ball, table, (ni + 2,))
         # merge under conjugation by t: t (t^i h) t^{-1} = t^i f(h)
-        dtype = array_dtype(_image_bound(spec, f, table.codec.reach))
-        merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords.astype(dtype, copy=False))))
+        merge_images(label, table.index(apply_automorphism_array(spec, f, table.coords)))
         lengths.append(ct + part_lengths(label, table.lengths))
     return cumulative_counts(np.concatenate(lengths), n)
 

@@ -488,6 +488,10 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
     r = spec.r
     dmax = spec.weights[-1]  # delta_{r-1}; 1 when r = 1
     gamma = tuple(dmax // w for w in spec.weights)
+    # each walk stores its formula index of cosets, charged before any array is built: past the budget, a huge
+    # delta stops here instead of overflowing int64 rows or walking far past the cap before the first check
+    for formula in (dmax * prod(gamma), prod(spec.weights)):
+        check_budget(formula, budget, "stored cosets of the coset walk")
     gens = np.array(standard_generators(spec))
     gamma1_gens = np.concatenate((power_array(spec, gens[0::2], gamma), gens[1::2]))
     c_gamma1 = np.array(central_element(spec, dmax))

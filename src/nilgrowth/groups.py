@@ -257,22 +257,6 @@ def power_array(spec: GroupSpec, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_bound(spec: GroupSpec, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Bounds (off k, on k) on the coordinates of g h, given those of g and h; with y = x it also bounds g^-1."""
-    return x[0] + y[0], x[1] + y[1] + sum(spec.weights) * x[0] * y[0]
-
-
-def array_dtype(*bounds: tuple[int, int]):
-    """int64 while every coordinate bound stays below 2^62, else object arrays of exact Python ints."""
-    return np.int64 if max(max(b) for b in bounds) < 2**62 else object
-
-
-def element_bound(rows) -> tuple[int, int]:
-    """Bounds (off k, on k), as exact Python ints, on the coordinates of the given elements or coordinate rows."""
-    rows = np.abs(rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object))
-    return int(rows[..., :-1].max(initial=0)), int(rows[..., -1].max(initial=0))
-
-
 def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:
     """[g, h] = g h g^-1 h^-1, computed by composition (not the bilinear form)."""
     mul, inv = spec.mul, spec.inv

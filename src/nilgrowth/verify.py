@@ -32,7 +32,6 @@ from .errors import StructuralError
 from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, l1_gcd_sums, positive_cube_gcd_sum
 from .groups import (
     GroupSpec,
-    array_dtype,
     broken_relators,
     central_element,
     commutator,
@@ -45,7 +44,6 @@ from .groups import (
     named_spec,
     omega_form,
     power,
-    product_bound,
     standard_generators,
 )
 from .intlinalg import identity_matrix
@@ -72,8 +70,7 @@ def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
             raise StructuralError(f"power law fails at {g}")
         gs.append(g)
         hs.append(h)
-    dtype = array_dtype(product_bound(spec, (6, 6), (6, 6)))
-    ga, ha = np.array(gs, dtype=dtype), np.array(hs, dtype=dtype)
+    ga, ha = np.array(gs, dtype=object), np.array(hs, dtype=object)
     if multiply_array(spec, ga, ha).tolist() != [list(multiply(spec, g, h)) for g, h in zip(gs, hs)]:
         raise StructuralError("array and tuple products differ")
     if inverse_array(spec, ga).tolist() != [list(inverse(spec, g)) for g in gs]:

@@ -121,8 +121,6 @@ class KeyCodec:
                 f"(radix product {self.strides[0] * self.radices[0]} >= 2^62)"
             )
         self.k_bound = k_bound
-        # (off k, on k) bounds on every coordinate of the ball, as groups.product_bound takes them
-        self.reach = (max(body, default=0), k_bound)
         self.radix_k = self.radices[-1]
         self.identity = sum(b * stride for b, stride in zip(self.bounds, self.strides))
         # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
@@ -146,14 +144,12 @@ class KeyCodec:
     def pack_rows(self, coords: np.ndarray, bounds) -> np.ndarray:
         """The key of every (..., ncoords) coordinate row, or -1 for a row with some |x_p| > bounds[p].
 
-        bounds lie within the codec's own.  Every row is packed and the rows
-        outside are then masked, so a row far outside, whose int64 key may
-        wrap, never reads as a valid key; rows of another dtype (exact Python
-        ints) are zeroed outside before conversion.
+        bounds lie within the codec's own.  The rows outside are zeroed before
+        the int64 conversion and masked after packing, so a row far outside,
+        int64 or exact Python ints, neither overflows nor reads as a valid key.
         """
         inside = (np.abs(coords) <= bounds).all(axis=-1)
-        if coords.dtype != np.int64:
-            coords = np.where(inside[..., None], coords, 0).astype(np.int64)
+        coords = np.where(inside[..., None], coords, 0).astype(np.int64)
         return np.where(inside, self.identity + coords @ np.array(self.strides, dtype=np.int64), -1)
 
     def column(self, keys: np.ndarray, p: int) -> np.ndarray:

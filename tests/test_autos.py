@@ -1,11 +1,16 @@
 """Tests for automorphisms, twisted conjugacy, extensions, and integer linear algebra."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilgrowth
 from nilgrowth.autos import (
     Automorphism,
     apply_automorphism,
@@ -142,12 +147,13 @@ def _matrix(spec, kind):
 )
 def test_apply_array_matches_tuple_law(name, kind, big, data):
     spec = named_spec(name)
-    # big shifts pass int64, so the arrays hold exact Python ints
-    scale, dtype = (2**70, object) if big else (1, np.int64)
+    # int64 rows at either scale: big shifts pass int64, and the images are exact Python ints whatever the input
+    scale = 2**70 if big else 1
     kappa = data.draw(st.lists(st.integers(-5, 5).map(lambda x: x * scale), min_size=spec.dim, max_size=spec.dim))
     f = make_automorphism(spec, _matrix(spec, kind), kappa)
     rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * spec.ncoords), min_size=1, max_size=8))
-    got = apply_automorphism_array(spec, f, np.array(rows, dtype=dtype))
+    got = apply_automorphism_array(spec, f, np.array(rows, dtype=np.int64))
+    assert got.dtype == object
     assert got.tolist() == [list(apply_automorphism(spec, f, g)) for g in rows]
 
 
@@ -281,6 +287,27 @@ def test_bruteforce_exact_past_int64():
         if order:
             ext = [extension_conjugacy_growth(H1, GENS1, f, order, 3) for f in (big, small)]
             assert ext[0] == ext[1]
+    # a matrix entry far past the ball's a range: the reflection b -> a^x b^-1 (eps = -1, order 2) and the shear
+    cases = (((0, -1), (0, 0), [1, 4, 10, 19], [1, 5, 15, 32]), ((0, 1), (5, 0), [1, 5, 13, 33], None))
+    for row, kappa, want, ext_want in cases:
+        big, small = (make_automorphism(H1, ((1, x), row), kappa) for x in (2**70, 1000))
+        brute = [twisted_growth_bruteforce(H1, GENS1, f, 3) for f in (big, small)]
+        assert [(res.counts, res.stable) for res in brute] == [(want, True)] * 2
+        if ext_want:
+            assert [extension_conjugacy_growth(H1, GENS1, f, 2, 3) for f in (big, small)] == [ext_want] * 2
+
+
+def test_verify_leaves_numpy_random_unimported():
+    # numpy does not import numpy.random, and its first import costs ~6 MB of RSS; the fuzz draws without it
+    code = (
+        "import sys, nilgrowth\n"
+        "spec = nilgrowth.named_spec('H1')\n"
+        "assert nilgrowth.verify_automorphism(spec, nilgrowth.swap_automorphism(spec), 2000).ok\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nilgrowth.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_ball_and_conjugator_ball_share_one_budget():

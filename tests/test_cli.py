@@ -330,6 +330,24 @@ def test_embeddings_budget_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", [2**70, 3037000500], ids=["past-int64", "square-past-int64"])
+def test_embeddings_on_a_huge_delta_exit_on_the_budget(tmp_path, capsys, delta):
+    # the Gamma_1 index delta^2 is charged before any array is built: no OverflowError, no endless coset walk
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"s": 0, "r": 2, "delta": [delta]}))
+    assert main(["embeddings", "--spec", str(spec)]) == EXIT_BUDGET
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded: stored cosets of the coset walk")
+    if delta < 2**62:
+        # verify reaches its embeddings check; with delta = 2^70 the sample balls do not fit 64-bit keys first
+        assert main(["verify", "--spec", str(spec), "--quick"]) == EXIT_BUDGET
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: stored cosets of the coset walk")
+    else:
+        assert main(["verify", "--spec", str(spec), "--quick"]) == EXIT_USAGE
+        assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_negative_budget_is_a_usage_error(how, monkeypatch, capsys):
     argv = ["ball", "--spec", "H1", "--radius", "3"]
