@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .groups import (
     Vector,
     broken_relators,
     check_element,
+    exact_int,
     multiply_array,
     omega_form,
     power,
@@ -71,8 +71,8 @@ class Automorphism:
 
 
 def make_automorphism(spec: GroupSpec, m, kappa=None) -> Automorphism:
-    m = tuple(tuple(index(x) for x in row) for row in m)
-    kappa = tuple(index(x) for x in kappa) if kappa is not None else (0,) * spec.dim
+    m = tuple(tuple(exact_int(x) for x in row) for row in m)
+    kappa = tuple(exact_int(x) for x in kappa) if kappa is not None else (0,) * spec.dim
     if len(kappa) != spec.dim:
         raise SpecError(f"kappa must have {spec.dim} entries")
     eps = check_in_M(spec, m)
@@ -244,8 +244,8 @@ def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii
     codec = conj.codec
     keys, lengths = conj.keys, conj.lengths
     if f.eps == 1:
-        keys, first = np.unique(keys - (keys % codec.radix_k - codec.k_bound), return_index=True)
-        lengths = lengths[first]
+        bodies, first = np.unique(codec.split(keys)[0], return_index=True)
+        keys, lengths = codec.join(bodies, codec.offsets[-1]), lengths[first]  # k = 0 on each body
     label = new_labels(len(table.keys))
     for lo, hi in zip((-1,) + radii, radii):
         x = codec.coords(keys[(lo < lengths) & (lengths <= hi)])

@@ -37,6 +37,7 @@ from .words import (
     KEY_LIMIT,
     BallTable,
     GeneratingSet,
+    KeyCodec,
     _step_set,
     central_growth,
     check_budget,
@@ -145,20 +146,20 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
     that shifts some body coordinate p by more than 2 B_p, or whose c puts
     every image's |k| past B_k, maps nothing into the table and is dropped.
 
-    The kept rows' images are packed in int64 under a codec whose body digits
-    cover B_p + max |shift_p|, and whose k digit covers |k| <= B_k + 1: an
-    image's k is clipped to that range, and the two end values, which no
+    The kept rows' images are packed in int64 under a KeyCodec whose body
+    digits cover B_p + max |shift_p|, and whose k digit covers |k| <= B_k + 1:
+    an image's k is clipped to that range, and the two end values, which no
     table element takes, stand for every k outside the table's.  The packing
     is then injective on the images that can be in the table, so one
     searchsorted against the table's keys, repacked under that codec, finds
     them.  Taken in the table's key order, the images of one row come out
     sorted, which keeps the search fast.  Blocks of about ROW_BLOCK images
-    are merged as they are made.  A codec or a k term of KEY_LIMIT or more
+    are merged as they are made.  The codec, or a k term of KEY_LIMIT or more,
     raises SpecError, so no int64 sum can wrap.
     """
     ordered, order = table._sorted
-    coords = table.codec.coords(ordered).T  # the table in key order
-    bound, nc = np.abs(coords).max(axis=1).astype(object), spec.ncoords
+    coords = table.codec.coords(ordered)  # the table in key order
+    bound, nc = np.abs(coords).max(axis=0).astype(object), spec.ncoords
     probes = np.eye(nc + 1, nc, -1, dtype=np.int64).astype(object)  # the zero vector, then the unit vectors
     u = fx.astype(object)[:, None]
     v = inverse_array(spec, x.astype(object))[:, None]
@@ -172,20 +173,16 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
         return
     shift, c, lin, reach = shift[keep], c[keep], lin[keep], reach[keep]
     offsets = (bound[:-1] + np.abs(shift).max(axis=0)).tolist() + [bound[-1] + 1]
-    strides = [prod(2 * b + 1 for b in offsets[p + 1 :]) for p in range(nc)]
-    radix = strides[0] * (2 * offsets[0] + 1)
+    wide = KeyCodec(offsets, [2 * b + 1 for b in offsets], "conjugate images of this ball")
     # every int64 term of an image's k: c + lin h and its partial sums, and lin itself where B_p = 0
     k_reach = max(int((np.abs(c) + reach).max()), int(np.abs(lin).max()))
-    if radix >= KEY_LIMIT or k_reach >= KEY_LIMIT:
-        raise SpecError(
-            f"conjugate images of this ball do not fit 64-bit keys (radix product {radix}, k terms up to {k_reach})"
-        )
-    strides, offsets = np.array(strides, dtype=np.int64), np.array(offsets, dtype=np.int64)
-    # the body digits of every table element in key order, and its keys under the wider codec, then a sentinel
-    body = strides[:-1] @ coords[:-1] + offsets[:-1] @ strides[:-1]
-    keys = np.append(body + coords[-1] + offsets[-1], np.iinfo(np.int64).max)
-    base = (shift.astype(np.int64) @ strides[:-1] + offsets[-1])[:, None]
-    c, lin = c.astype(np.int64)[:, None], lin.astype(np.int64)
+    if k_reach >= KEY_LIMIT:
+        raise SpecError(f"conjugate images of this ball do not fit 64-bit keys (k terms up to {k_reach})")
+    # the table's keys under the wide codec, then a sentinel; an image's key is h's with k = 0, shifted, plus its k
+    keys = np.append(wide.pack(coords), np.iinfo(np.int64).max)
+    body = wide.pack(coords[:, :-1])
+    base = (wide.pack(shift.astype(np.int64)) - wide.identity)[:, None]
+    coords, c, lin = coords.T, c.astype(np.int64)[:, None], lin.astype(np.int64)
     block = max(1, ROW_BLOCK // len(order))
     for lo in range(0, len(c), block):
         part = slice(lo, lo + block)
@@ -202,15 +199,13 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
 class ClassLengths(Mapping):
     """Read-only mapping ConjClassKey -> least word length, held as two arrays.
 
-    packed holds the sorted packed class keys body * radix + r (see
-    class_lengths) and lengths the least length of each.  len and counts read
-    the arrays alone; the ConjClassKey objects are decoded once, vectorised,
-    on the first lookup or iteration.
+    packed holds the sorted class keys under codec (see class_lengths) and
+    lengths the least length of each.  len and counts read the arrays alone;
+    the ConjClassKey objects are decoded once, vectorised, on first use.
     """
 
-    def __init__(self, spec: GroupSpec, codec, radix: int, kappa: Vector, packed: np.ndarray, lengths: np.ndarray):
-        self.spec, self.codec, self.radix, self.kappa = spec, codec, radix, kappa
-        self.packed, self.lengths = packed, lengths
+    def __init__(self, spec: GroupSpec, codec: KeyCodec, kappa: Vector, packed: np.ndarray, lengths: np.ndarray):
+        self.spec, self.codec, self.kappa, self.packed, self.lengths = spec, codec, kappa, packed, lengths
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -221,11 +216,11 @@ class ClassLengths(Mapping):
 
     @cached_property
     def _decoded(self) -> dict[ConjClassKey, int]:
-        codec = self.codec
-        body, resid = np.divmod(self.packed, self.radix)
-        body *= codec.radix_k
-        resid -= np.where(_class_moduli(self.spec, codec, body, self.kappa) == 0, codec.k_bound, 0)
-        abels = map(tuple, codec.coords(body)[:, :-1].tolist())
+        rows = self.codec.coords(self.packed)
+        # a residue is its own digit; a central class keeps its k
+        reduced = _class_moduli(self.spec, self.codec, self.packed, self.kappa) > 0
+        resid = np.where(reduced, self.codec.split(self.packed)[1], rows[:, -1])
+        abels = map(tuple, rows[:, :-1].tolist())
         return dict(zip(map(ConjClassKey, abels, resid.tolist()), self.lengths.tolist()))
 
     def __getitem__(self, key: ConjClassKey) -> int:
@@ -239,38 +234,32 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     """Minimal word length per class key (abel, k mod class_modulus(abel, kappa)) over the ball.
 
     kappa = () gives conjugacy classes; for the automorphism (I, kappa) the
-    same key gives twisted classes.  A class key packs as body * radix + r,
-    with r = k mod m for the modulus m > 0 and r = k + k_bound (the k digit
-    itself) when m = 0.  The radix covers both the k digit and the largest
-    modulus over the ball, which a shift kappa can push past the k digit.
-    Keys are read off the runs of every sphere at once: a run lies in one
-    body, so its m is that of its first key, and its class keys are the run
-    [r, r + len - 1] when m = 0 and min(len, m) residues from its first k,
-    wrapped once at m, when m > 0.  One sort of those keys then groups each
-    class, and its least length is the least level in its group.
+    same key gives twisted classes.  A class key packs the ball's body and
+    r = k mod m for the modulus m > 0, or k's digit when m = 0, under the ball
+    codec's with_last_digit.  A run lies in one body, so its m is that of its
+    first key, and its class keys are its k digits when m = 0 and min(len, m)
+    residues from its first k, wrapped once at m, when m > 0.  One sort of the
+    keys of every run groups each class, and its least length is the least
+    level in its group.
     """
     if table.spec != spec:
         raise SpecError("ball table was enumerated for another spec")
     kappa = _kappa(spec, kappa)
     codec = table.codec
     # A nonzero modulus is at most any nonzero entry of Omega v^T + kappa, bounded over the ball here.
-    reach = omega_apply(spec, tuple(codec.bounds[:-1]))
-    radix = max([codec.radix_k] + [abs(x) + abs(y) for x, y in zip(reach, kappa)])
-    bodies = codec.strides[0] * codec.radices[0] // codec.radix_k
-    if bodies * radix >= KEY_LIMIT:
-        raise SpecError(f"class keys of this ball do not fit 64-bit packed keys (radix {radix})")
+    reach = omega_apply(spec, tuple(codec.offsets[:-1]))
+    classes = codec.with_last_digit(max(abs(x) + abs(y) for x, y in zip(reach, kappa)), "class keys of this ball")
     lo, hi = table.flat_runs
     level = np.repeat(np.arange(len(table.runs), dtype=np.int32), [len(lo) for lo, _ in table.runs])
-    body, digit = np.divmod(lo, codec.radix_k)
+    body, digit = codec.split(lo)
     m = _class_moduli(spec, codec, lo, kappa)
     reduced = m > 0
-    first = np.where(reduced, (digit - codec.k_bound) % np.maximum(m, 1), digit)
+    first = np.where(reduced, (digit - codec.offsets[-1]) % np.maximum(m, 1), digit)
     last = first + np.where(reduced, np.minimum(hi - lo, m - 1), hi - lo)
     # a residue run past m - 1 wraps to a second run from 0
     wraps = reduced & (last >= m)
-    body *= radix
-    lo = np.concatenate((body + first, body[wraps]))
-    hi = np.concatenate((body + np.where(wraps, m - 1, last), (body + last - m)[wraps]))
+    lo = np.concatenate((classes.join(body, first), classes.join(body[wraps], 0)))
+    hi = np.concatenate((classes.join(body, np.where(wraps, m - 1, last)), classes.join(body, last - m)[wraps]))
     level = np.concatenate((level, level[wraps]))
     del body, digit, m, reduced, first, last, wraps  # the per-key arrays below are the peak
     keys = run_keys(lo, hi)
@@ -279,7 +268,7 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     levels = np.repeat(level, hi - lo + 1)[order]
     del order
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return ClassLengths(spec, codec, radix, kappa, keys[first], np.minimum.reduceat(levels, first))
+    return ClassLengths(spec, classes, kappa, keys[first], np.minimum.reduceat(levels, first))
 
 
 def _class_moduli(spec: GroupSpec, codec, keys: np.ndarray, kappa: Vector) -> np.ndarray:
@@ -488,10 +477,12 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
     r = spec.r
     dmax = spec.weights[-1]  # delta_{r-1}; 1 when r = 1
     gamma = tuple(dmax // w for w in spec.weights)
-    # each walk stores its formula index of cosets, charged before any array is built: past the budget, a huge
-    # delta stops here instead of overflowing int64 rows or walking far past the cap before the first check
+    # each walk stores its formula index of cosets, charged before any array is built: a huge delta stops here
+    # instead of overflowing int64 rows or walking far past the cap; one of KEY_LIMIT or more no walk can store
     for formula in (dmax * prod(gamma), prod(spec.weights)):
         check_budget(formula, budget, "stored cosets of the coset walk")
+        if formula >= KEY_LIMIT:
+            raise SpecError(f"embedding index {formula} of these weights is 2^62 or more: no coset walk can store it")
     gens = np.array(standard_generators(spec))
     gamma1_gens = np.concatenate((power_array(spec, gens[0::2], gamma), gens[1::2]))
     c_gamma1 = np.array(central_element(spec, dmax))

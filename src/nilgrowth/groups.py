@@ -39,6 +39,13 @@ NAMED_SPECS = {
 }
 
 
+def exact_int(x) -> int:
+    """x as an int by operator.index, else SpecError; a bool too, as a JSON true or false is no integer."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise SpecError(f"entries must be integers, got {x!r}")
+    return index(x)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Parameters (s, r, delta) of Z^s x H_D, with derived weights.
@@ -55,10 +62,7 @@ class GroupSpec:
     inv: Callable[[Element], Element] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        try:
-            exact = {"s": index(self.s), "r": index(self.r), "delta": tuple(index(d) for d in self.delta)}
-        except TypeError as exc:
-            raise SpecError(f"s, r and the delta entries must be integers: {exc}") from exc
+        exact = {"s": exact_int(self.s), "r": exact_int(self.r), "delta": tuple(map(exact_int, self.delta))}
         for name, value in exact.items():
             object.__setattr__(self, name, value)
         if self.s < 0 or self.r < 0:
@@ -106,7 +110,7 @@ def make_group_spec(s: int, r: int, delta: tuple[int, ...] | list[int] = ()) -> 
 
 def spec_from_json_dict(data: dict) -> GroupSpec:
     try:
-        return make_group_spec(index(data["s"]), index(data["r"]), [index(d) for d in data["delta"]])
+        return make_group_spec(data["s"], data["r"], data["delta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad group spec payload: {exc}") from exc
 
@@ -136,9 +140,9 @@ def element_to_json_dict(spec: GroupSpec, g: Element) -> dict:
 
 def element_from_json_dict(spec: GroupSpec, data: dict) -> Element:
     try:
-        z = [index(x) for x in data["z"]]
-        ab = [(index(i), index(j)) for i, j in data["ab"]]
-        k = index(data["k"])
+        z = [exact_int(x) for x in data["z"]]
+        ab = [(exact_int(i), exact_int(j)) for i, j in data["ab"]]
+        k = exact_int(data["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad element payload: {exc}") from exc
     if len(z) != spec.s or len(ab) != spec.r:

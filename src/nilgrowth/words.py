@@ -2,11 +2,10 @@
 
 Balls are enumerated by exact breadth-first search over the Cayley graph of a
 finite generating set (inverses added automatically).  Every element of a
-radius-n ball is packed into one int64 key: a mixed-radix number over its
-coordinates in order, each offset by an a-priori bound (n times the largest
-step entry for a non-central coordinate, O(n^2) for k through the weighted
-cross term).  Ascending key order is lexicographic coordinate order, and k is
-the last digit, so the keys of one abelian body v are consecutive.
+radius-n ball is packed into one int64 key by a KeyCodec, which alone knows
+the layout: a mixed-radix number over its coordinates in order, each offset
+by an a-priori bound, with k the last digit.  Keys sort lexicographically,
+and the keys of one abelian body v are consecutive.
 
 The search holds every sphere as runs [lo, hi] of consecutive keys, each
 inside one body: the elements (v, k) with k in an interval.  Right
@@ -33,7 +32,7 @@ from .groups import Element, GroupSpec, standard_generators
 
 DEFAULT_BUDGET = 10**8
 # Packed keys stay below this, so a key plus one step's shift cannot overflow int64, nor can it part way through
-# KeyCodec.expand, which adds the shift in parts.
+# BallCodec.expand, which adds the shift in parts.
 KEY_LIMIT = 2**62
 
 
@@ -96,50 +95,30 @@ def _step_set(spec: GroupSpec, gens: GeneratingSet) -> list[Element]:
 
 
 class KeyCodec:
-    """Mixed-radix int64 keys for the elements of the radius-n ball over a step set.
+    """Mixed-radix int64 keys for coordinate rows: the one place that knows the key layout.
 
-    Coordinate p is stored as the digit x_p + bounds[p] in [0, radices[p]);
-    k is the last, least significant digit, so key // radix_k is the body
-    (every coordinate but k).
+    Coordinate p is stored as the digit x_p + offsets[p] in [0, radices[p]),
+    the last coordinate as the least significant digit.  So keys sort as their
+    rows do, and the keys of one body (every coordinate but the last) are
+    consecutive.  A radix product of KEY_LIMIT or more raises SpecError naming
+    `what`, the rows being packed.
     """
 
-    def __init__(self, spec: GroupSpec, steps: list[Element], n: int):
-        top = [max((abs(x[p]) for x in steps), default=0) for p in range(spec.ncoords)]
-        body = [n * t for t in top[:-1]]
-        pairs = [(w, spec.s + 2 * t) for t, w in enumerate(spec.weights)]
-        # g*x adds -w_t j_t(g) i_t(x) to k, and |j_t(g)| <= (m - 1) max|j_t| before step m.
-        k_bound = n * top[-1] + sum(w * top[a] * top[a + 1] for w, a in pairs) * (n * (n - 1) // 2)
-        self.bounds = body + [k_bound]
-        self.radices = [2 * b + 1 for b in self.bounds]
-        strides = [1]
-        for radix in reversed(self.radices[1:]):
-            strides.append(strides[-1] * radix)
-        self.strides = strides[::-1]
-        if self.strides[0] * self.radices[0] >= KEY_LIMIT:
-            raise SpecError(
-                f"the radius-{n} ball does not fit 64-bit packed keys "
-                f"(radix product {self.strides[0] * self.radices[0]} >= 2^62)"
-            )
-        self.k_bound = k_bound
-        self.radix_k = self.radices[-1]
-        self.identity = sum(b * stride for b, stride in zip(self.bounds, self.strides))
-        # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
-        # j_t(g) as its digit less the digit's offset bound, and that offset part is folded into the shift here.
-        # A pair's digit products go to the span of steps from the first to the last one that moves along a_t.
-        deltas = [self._offset(x) for x in steps]
-        self.cross = []  # (j_t stride, j_t radix, span of steps, -w_t i_t(x) per step x of the span) per pair
-        for w, a in pairs:
-            corr = [-w * x[a] for x in steps]
-            moves = [i for i, c in enumerate(corr) if c]
-            if moves:
-                span = slice(moves[0], moves[-1] + 1)
-                deltas = [d - c * self.bounds[a + 1] for d, c in zip(deltas, corr)]
-                column = np.array(corr[span], dtype=np.int64)[:, None]
-                self.cross.append((self.strides[a + 1], self.radices[a + 1], span, column))
-        self.deltas = np.array(deltas, dtype=np.int64)[:, None]
+    def __init__(self, offsets, radices, what: str):
+        self.offsets, self.radices = list(offsets), list(radices)
+        self.strides = [math.prod(self.radices[p + 1 :]) for p in range(len(self.radices))]
+        product = math.prod(self.radices)
+        if product >= KEY_LIMIT:
+            raise SpecError(f"{what} do not fit 64-bit keys (radix product {product} >= 2^62)")
+        self.identity = sum(o * stride for o, stride in zip(self.offsets, self.strides))  # the zero row's key
 
-    def _offset(self, g: Element) -> int:
-        return sum(x * stride for x, stride in zip(g, self.strides))
+    def with_last_digit(self, radix: int, what: str) -> KeyCodec:
+        """A codec over the same body digits whose last digit also holds every value 0..radix-1 as itself."""
+        return KeyCodec(self.offsets, self.radices[:-1] + [max(self.radices[-1], radix)], what)
+
+    def pack(self, coords: np.ndarray) -> np.ndarray:
+        """The key of every (..., p) int64 row of the first p coordinates, inside their ranges; the rest are 0."""
+        return self.identity + coords @ np.array(self.strides[: coords.shape[-1]], dtype=np.int64)
 
     def pack_rows(self, coords: np.ndarray, bounds) -> np.ndarray:
         """The key of every (..., ncoords) coordinate row, or -1 for a row with some |x_p| > bounds[p].
@@ -149,21 +128,50 @@ class KeyCodec:
         int64 or exact Python ints, neither overflows nor reads as a valid key.
         """
         inside = (np.abs(coords) <= bounds).all(axis=-1)
-        coords = np.where(inside[..., None], coords, 0).astype(np.int64)
-        return np.where(inside, self.identity + coords @ np.array(self.strides, dtype=np.int64), -1)
+        return np.where(inside, self.pack(np.where(inside[..., None], coords, 0).astype(np.int64)), -1)
+
+    def split(self, keys):
+        """(body, last digit) of every key; with_last_digit keeps a body's number."""
+        return np.divmod(keys, self.radices[-1])
+
+    def join(self, body, digit):
+        """split's inverse."""
+        return body * self.radices[-1] + digit
 
     def column(self, keys: np.ndarray, p: int) -> np.ndarray:
         """Coordinate p of every key."""
-        return keys // self.strides[p] % self.radices[p] - self.bounds[p]
+        return keys // self.strides[p] % self.radices[p] - self.offsets[p]
 
     def coords(self, keys: np.ndarray) -> np.ndarray:
         """The (len(keys), ncoords) coordinate rows of the keys."""
         digits = keys[:, None] // np.array(self.strides, dtype=np.int64) % np.array(self.radices, dtype=np.int64)
-        return digits - np.array(self.bounds, dtype=np.int64)
+        return digits - np.array(self.offsets, dtype=np.int64)
 
-    def unpack(self, keys: np.ndarray) -> list[Element]:
-        """Coordinate tuples, in key order."""
-        return list(map(tuple, self.coords(keys).tolist()))
+
+class BallCodec(KeyCodec):
+    """The radius-n ball's codec and its one-step plan (expand): |x_p| <= offsets[p], a bound from the steps."""
+
+    def __init__(self, spec: GroupSpec, steps: list[Element], n: int):
+        top = [max((abs(x[p]) for x in steps), default=0) for p in range(spec.ncoords)]
+        pairs = [(w, spec.s + 2 * t) for t, w in enumerate(spec.weights)]
+        # g*x adds -w_t j_t(g) i_t(x) to k, and |j_t(g)| <= (m - 1) max|j_t| before step m.
+        k_bound = n * top[-1] + sum(w * top[a] * top[a + 1] for w, a in pairs) * (n * (n - 1) // 2)
+        bounds = [n * t for t in top[:-1]] + [k_bound]
+        super().__init__(bounds, [2 * b + 1 for b in bounds], f"elements of the radius-{n} ball")
+        # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
+        # j_t(g) as its digit less the digit's offset bound, and that offset part is folded into the shift here.
+        # A pair's digit products go to the span of steps from the first to the last one that moves along a_t.
+        deltas = [sum(x * stride for x, stride in zip(g, self.strides)) for g in steps]
+        self.cross = []  # (j_t stride, j_t radix, span of steps, -w_t i_t(x) per step x of the span) per pair
+        for w, a in pairs:
+            corr = [-w * x[a] for x in steps]
+            moves = [i for i, c in enumerate(corr) if c]
+            if moves:
+                span = slice(moves[0], moves[-1] + 1)
+                deltas = [d - c * self.offsets[a + 1] for d, c in zip(deltas, corr)]
+                column = np.array(corr[span], dtype=np.int64)[:, None]
+                self.cross.append((self.strides[a + 1], self.radices[a + 1], span, column))
+        self.deltas = np.array(deltas, dtype=np.int64)[:, None]
 
     def expand(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill the (steps, len(keys)) array out with the keys of every one-step product: row i holds g*x_i, g in keys.
@@ -193,7 +201,7 @@ def run_size(lo: np.ndarray, hi: np.ndarray) -> int:
     return int((hi - lo).sum()) + len(lo)
 
 
-def _spheres(codec: KeyCodec, n: int, cap: int):
+def _spheres(codec: BallCodec, n: int, cap: int):
     """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap.
 
     A sphere's budget check runs when the consumer asks for the next one, so a
@@ -223,7 +231,7 @@ def _spheres(codec: KeyCodec, n: int, cap: int):
         np.greater(gap, 1, out=cut[1:-1])
         touch = (gap == 1).nonzero()[0] + 1
         if len(touch):
-            cut[touch] = starts[touch] % codec.radix_k == 0
+            cut[touch] = codec.split(starts[touch])[1] == 0
         # (compress, not a boolean index: it is far faster on masks without long runs)
         new_lo, new_hi = starts.compress(cut[:-1]), ends.compress(cut[1:])
         del cand, moved, starts, ends, gap, cut, touch  # freed before the gaps are built
@@ -248,13 +256,13 @@ def _spheres(codec: KeyCodec, n: int, cap: int):
 class BallTable:
     """Exact word lengths for the radius-n ball: each sphere as its sorted, disjoint runs of consecutive keys.
 
-    The per-element arrays (spheres, keys, coords, entries, the index) are
-    built from the runs on first use.
+    The per-element arrays (keys, coords, entries, the index) are built from
+    the runs on first use.
     """
 
     spec: GroupSpec
     radius: int
-    codec: KeyCodec
+    codec: BallCodec
     runs: list[tuple[np.ndarray, np.ndarray]]  # (lo, hi) of every sphere
 
     @cached_property
@@ -268,7 +276,7 @@ class BallTable:
     @cached_property
     def entries(self) -> dict[Element, int]:
         """Element -> word length, sphere by sphere and lexicographic within a sphere."""
-        return dict(zip(self.codec.unpack(self.keys), self.lengths.tolist()))
+        return dict(zip(map(tuple, self.coords.tolist()), self.lengths.tolist()))
 
     @property
     def flat_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +287,6 @@ class BallTable:
     def keys(self) -> np.ndarray:
         """Every key of the ball in the order of entries: sphere by sphere, sorted within a sphere."""
         return run_keys(*self.flat_runs)
-
-    @cached_property
-    def spheres(self) -> list[np.ndarray]:
-        """The sorted keys of every sphere, as views of keys."""
-        return np.split(self.keys, list(accumulate(self.sphere_sizes[:-1])))
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -338,7 +341,7 @@ def enumerate_ball(
     if n < 0:
         raise SpecError("radius must be nonnegative")
     cap = resolve_budget(budget)
-    codec = KeyCodec(spec, _step_set(spec, gens), n)
+    codec = BallCodec(spec, _step_set(spec, gens), n)
     identity = np.array([codec.identity], dtype=np.int64)
     runs = [(identity, identity)] + [(lo, hi) for _, lo, hi in _spheres(codec, n, cap)]
     return BallTable(spec=spec, radius=n, codec=codec, runs=runs)
@@ -359,8 +362,8 @@ def word_length(
     cap = resolve_budget(budget)
     if g == spec.identity():
         return 0
-    codec = KeyCodec(spec, _step_set(spec, gens), cutoff)
-    target = int(codec.pack_rows(np.array(g, dtype=object), codec.bounds))
+    codec = BallCodec(spec, _step_set(spec, gens), cutoff)
+    target = int(codec.pack_rows(np.array(g, dtype=object), codec.offsets))
     if target < 0:
         return None
     for level, lo, hi in _spheres(codec, cutoff, cap):
@@ -381,10 +384,10 @@ def central_growth(
     table = enumerate_ball(spec, gens, n, budget=budget)
     codec = table.codec
     # The c^k are the identity's body, whose runs in each sphere are those starting in its key range.
-    body = codec.identity // codec.radix_k * codec.radix_k
+    ends = codec.join(codec.split(codec.identity)[0] + np.arange(2), 0)
     counts = []
     for lo, hi in table.runs:
-        a, b = np.searchsorted(lo, (body, body + codec.radix_k))
+        a, b = np.searchsorted(lo, ends)
         counts.append(run_size(lo[a:b], hi[a:b]))
     return list(accumulate(counts))
 

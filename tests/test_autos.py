@@ -451,6 +451,15 @@ def test_automorphism_json_round_trip():
         automorphism_from_json_dict(H1, {"kappa": [1, 0]})
 
 
+@pytest.mark.parametrize("m, kappa", [([[True, False], [False, True]], [False, True]), ([[1, 0], [0, 1]], [0, True])])
+def test_automorphism_refuses_booleans(m, kappa):
+    # operator.index(True) == 1, so these once read as (I, (0, 1)); the one integer check refuses them
+    with pytest.raises(SpecError, match="must be integers"):
+        make_automorphism(H1, m, kappa)
+    with pytest.raises(SpecError, match="must be integers"):
+        automorphism_from_json_dict(H1, {"M": m, "kappa": kappa})
+
+
 def test_theta_compatibility():
     # abelianized images transform by the matrix: ab(f(g)) = ab(g) M
     rng = random.Random(11)

@@ -266,8 +266,8 @@ EVERY_MODE = {
 }
 
 
-def _every_mode_argv(argv, tmp_path):
-    """argv with its {swap}, {shift} and {table} input files written under tmp_path."""
+def _every_mode_argv(argv, tmp_path, **extra):
+    """argv with its {swap}, {shift} and {table} input files written under tmp_path, and any extra {name} paths."""
     files = {
         "swap": tmp_path / "swap.json",
         "shift": tmp_path / "shift.json",
@@ -276,7 +276,65 @@ def _every_mode_argv(argv, tmp_path):
     files["swap"].write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
     files["shift"].write_text(json.dumps({"M": [[1, 0], [0, 1]], "kappa": [1, 0]}))
     _write_table(files["table"], [3 * n**3 + n for n in range(30)])
-    return [arg.format(**files) for arg in argv]
+    return [arg.format(**files, **extra) for arg in argv]
+
+
+# Bad input files for the exit-contract sweep, by the name its argv uses in braces.
+BAD_INPUTS = {
+    "broken": "{nope",
+    "bool_spec": json.dumps({"s": True, "r": 1, "delta": []}),
+    "bool_delta": json.dumps({"s": 0, "r": 2, "delta": [True]}),
+    "big_weight": json.dumps({"s": 0, "r": 2, "delta": [2**70]}),
+    "bool_auto": json.dumps({"M": [[True, False], [False, True]], "kappa": [False, True]}),
+    "nan_table": "n,value\n0,1\n1,nan\n2,3\n",
+}
+
+
+def _bad_argv():
+    """(id, argv) for every subcommand and every bad input it reads: one bad value swapped in, or one flag added."""
+    cases = []
+    for name, argv in EVERY_MODE.items():
+
+        def swap(flag, value, what):
+            i = argv.index(flag)
+            cases.append(pytest.param(argv[: i + 1] + [value] + argv[i + 2 :], id=f"{name}-{what}"))
+
+        if "--radius" in argv:
+            swap("--radius", "-1", "negative-radius")
+        if "--spec" in argv:
+            for what in ("broken", "bool_spec", "bool_delta", "missing", "directory"):
+                swap("--spec", f"{{{what}}}", f"spec-{what}")
+        if "--auto" in argv:
+            for what in ("broken", "bool_auto", "missing", "directory"):
+                swap("--auto", f"{{{what}}}", f"auto-{what}")
+        if "--in" in argv:
+            for what in ("nan_table", "missing", "directory"):
+                swap("--in", f"{{{what}}}", f"csv-{what}")
+        if name == "gcdsum":
+            cases.append(pytest.param(argv + ["--offset", "2,x"], id=f"{name}-malformed-offset"))
+        if name != "verify":
+            cases.append(pytest.param(argv + ["--out", "{missing}"], id=f"{name}-unwritable-out"))
+        if name not in ("verify", "series-detect-qp", "series-fit"):
+            cases.append(pytest.param(argv + ["--budget", "0"], id=f"{name}-budget-0"))
+    big = ["embeddings", "--spec", "{big_weight}"]
+    cases += [pytest.param(big, id="embeddings-big-weight"), pytest.param(big + ["--budget", str(2**200)], id="embeddings-big-weight-big-budget")]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _bad_argv())
+def test_bad_input_exits_2_or_3_without_a_traceback(argv, tmp_path, capsys):
+    # the exit contract: a usage error (2) or a budget refusal (3), each with a message and no traceback
+    for what, text in BAD_INPUTS.items():
+        (tmp_path / what).write_text(text)
+    paths = {what: tmp_path / what for what in BAD_INPUTS}
+    argv = _every_mode_argv(argv, tmp_path, **paths, missing=tmp_path / "missing" / "file", directory=tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing a value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_USAGE, EXIT_BUDGET)
+    assert err.strip() and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [argv for argv in EVERY_MODE.values() if "--radius" in argv])

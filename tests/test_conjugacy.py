@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilgrowth import conjugacy
 from nilgrowth.autos import (
     apply_automorphism,
     make_automorphism,
@@ -18,7 +17,7 @@ from nilgrowth.autos import (
     twisted_growth_bruteforce,
     twisted_growth_structural,
 )
-from nilgrowth.cli import EXIT_USAGE, main
+from nilgrowth.cli import EXIT_OK, EXIT_USAGE, main
 from nilgrowth.conjugacy import (
     CENTRAL_EXACT_RADIUS,
     ConjClassKey,
@@ -167,7 +166,7 @@ def test_class_lengths_residue_past_the_k_digit():
     spec = named_spec("H1")
     gens = standard_generating_set(spec)
     table = enumerate_ball(spec, gens, 2)
-    assert table.codec.radix_k == 3
+    assert table.codec.radices[-1] == 3
     lengths = class_lengths(spec, table, (-10, -1))
     assert len(lengths) == 15
     f = make_automorphism(spec, identity_matrix(2), (-10, -1))
@@ -317,15 +316,20 @@ def test_merge_conjugates_matches_union_find(case):
     assert label.tolist() == [least[uf.find(i)] for i in range(len(index))]
 
 
-def test_merge_refuses_keys_past_the_limit(monkeypatch, tmp_path, capsys):
-    # a codec past KEY_LIMIT is a SpecError, never a wrapped key: the count, and the CLI's exit 2 with one error line
-    monkeypatch.setattr(conjugacy, "KEY_LIMIT", 2**10)
+def test_merge_refuses_keys_past_the_limit(tmp_path, capsys):
+    # A merge codec past KEY_LIMIT is a SpecError, never a wrapped key: each radius-3 ball below fits 64-bit keys,
+    # and the swap's conjugate images, with body shifts of up to twice the table's bounds, do not.
     h1 = named_spec("H1")
     with pytest.raises(SpecError, match="do not fit 64-bit keys"):
-        twisted_growth_bruteforce(h1, standard_generating_set(h1), swap_automorphism(h1), 3)
-    auto = tmp_path / "swap.json"
-    auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
-    assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto)]) == EXIT_USAGE
+        twisted_growth_bruteforce(h1, TOP_OF_KEY_RANGE, swap_automorphism(h1), 3, conjugator_radius=1)
+    # the CLI's exit 2 with one error line, on H_D with a weight of 10^14
+    spec, auto = tmp_path / "spec.json", tmp_path / "swap.json"
+    spec.write_text(json.dumps({"s": 0, "r": 2, "delta": [10**14]}))
+    auto.write_text(json.dumps({"M": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], "kappa": [0] * 4}))
+    assert main(["ball", "--spec", str(spec), "--radius", "3"]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["twisted", "--spec", str(spec), "--radius", "3", "--conjugator-radius", "1", "--auto", str(auto)]
+    assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: conjugate images of this ball do not fit 64-bit keys")
 
@@ -510,6 +514,18 @@ def test_hd_embeddings_coset_walk_budget():
         hd_embeddings(make_group_spec(0, 2, (100,)), budget=1000)
     assert info.value.budget == 1000 and info.value.needed > 1000
     assert hd_embeddings(make_group_spec(0, 2, (100,)), budget=10**4).index_gamma1 == 10**4
+
+
+def test_hd_embeddings_refuse_an_index_past_the_key_limit(tmp_path, capsys):
+    # A budget past the Gamma_1 index delta^2 no longer reaches int64 rows built from a Python-int gamma:
+    # an index of 2^62 or more is refused before any array is built.
+    with pytest.raises(SpecError, match="2\\^62"):
+        hd_embeddings(make_group_spec(0, 2, (2**70,)), budget=2**200)
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"s": 0, "r": 2, "delta": [2**70]}))
+    assert main(["embeddings", "--spec", str(spec), "--budget", str(2**200)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: embedding index")
 
 
 def test_verify_checks_the_specs_own_embeddings(monkeypatch):

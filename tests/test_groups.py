@@ -33,6 +33,7 @@ from nilgrowth.groups import (
     omega_form,
     power,
     power_array,
+    spec_from_json_dict,
     standard_generators,
 )
 
@@ -90,6 +91,17 @@ def test_spec_refuses_non_integers(args):
     # a float weight would give a non-integral k; a float r a float ncoords
     with pytest.raises(SpecError, match="must be integers"):
         make_group_spec(*args)
+
+
+@pytest.mark.parametrize(
+    "payload", [{"s": True, "r": 1, "delta": []}, {"s": 0, "r": 2, "delta": [True]}, {"s": 0, "r": np.True_, "delta": []}]
+)
+def test_spec_refuses_booleans(payload):
+    # operator.index(True) == 1, so a JSON true once read as s = 1; the one integer check refuses it
+    with pytest.raises(SpecError, match="must be integers"):
+        spec_from_json_dict(payload)
+    with pytest.raises(SpecError, match="must be integers"):
+        make_group_spec(payload["s"], payload["r"], payload["delta"])
 
 
 def test_spec_stores_exact_ints():
@@ -409,6 +421,10 @@ def test_element_json_roundtrip():
     for bad in ({"z": [], "ab": [[2, -1], [0, 5]], "k": 1.5}, {"z": [], "ab": [[2.0, -1], [0, 5]], "k": 1}):
         with pytest.raises(SpecError):
             element_from_json_dict(spec, bad)
+    # and booleans are not read as 0 and 1
+    for on, bad in ((spec, {"z": [], "ab": [[2, -1], [0, 5]], "k": True}), (zspec, {"z": [False], "ab": [[4, 1]], "k": 9})):
+        with pytest.raises(SpecError, match="must be integers"):
+            element_from_json_dict(on, bad)
 
 
 _COORD = st.one_of(st.integers(-20, 20), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63)))

@@ -14,6 +14,7 @@ from nilgrowth.groups import central_element, inverse, make_group_spec, multiply
 from nilgrowth.words import (
     KEY_LIMIT,
     GeneratingSet,
+    KeyCodec,
     _step_set,
     bass_guivarch_exponent,
     central_growth,
@@ -225,12 +226,12 @@ def test_engine_matches_dense_reference(case, kappa):
     codec = table.codec
     for level, (lo, hi) in enumerate(table.runs):
         sphere = np.array([g for g, l in ref.items() if l == level]).reshape(-1, spec.ncoords)
-        sphere = codec.pack_rows(sphere, codec.bounds)
-        assert run_keys(lo, hi).tolist() == table.spheres[level].tolist() == sorted(sphere.tolist())
+        sphere = codec.pack_rows(sphere, codec.offsets)
+        assert run_keys(lo, hi).tolist() == table.keys[table.lengths == level].tolist() == sorted(sphere.tolist())
         assert (lo <= hi).all() and (hi[:-1] < lo[1:]).all()
-        assert (lo // codec.radix_k == hi // codec.radix_k).all()
+        assert (codec.split(lo)[0] == codec.split(hi)[0]).all()
         touching = hi[:-1] + 1 == lo[1:]
-        assert (lo[1:][touching] // codec.radix_k != hi[:-1][touching] // codec.radix_k).all()
+        assert (codec.split(lo[1:][touching])[0] != codec.split(hi[:-1][touching])[0]).all()
     assert class_lengths(spec, table) == _reference_class_lengths(spec, ref)
     kappa = tuple(kappa[: spec.dim])
     assert class_lengths(spec, table, kappa) == _reference_twisted_lengths(spec, ref, kappa)
@@ -257,12 +258,13 @@ def test_expand_rows_of_a_sorted_sphere_are_sorted(case):
     spec, gens, n = case
     table = enumerate_ball(spec, gens, n)
     codec, steps = table.codec, _step_set(spec, gens)
-    for keys, (lo, hi) in zip(table.spheres[:-1], table.runs):  # products of the last sphere may leave the bounds
+    for lo, hi in table.runs[:-1]:  # products of the last sphere may leave the bounds
+        keys = run_keys(lo, hi)
         rows = codec.expand(keys, np.empty((len(steps), len(keys)), dtype=np.int64))
         assert (np.diff(rows, axis=1) > 0).all()
-        elements = codec.unpack(keys)
+        elements = list(map(tuple, codec.coords(keys).tolist()))
         for row, x in zip(rows, steps):
-            assert codec.unpack(row) == [multiply(spec, g, x) for g in elements]
+            assert codec.coords(row).tolist() == [list(multiply(spec, g, x)) for g in elements]
         moved = [codec.expand(ends, np.empty((len(steps), len(lo)), dtype=np.int64)) for ends in (lo, hi)]
         assert (moved[1] - moved[0] == hi - lo).all()
 
@@ -280,9 +282,9 @@ def test_prefix_matches_fresh_ball(case, data):
     assert prefix.lengths.tolist() == fresh.lengths.tolist()
     assert prefix.index(fresh.coords).tolist() == list(range(len(fresh.keys)))
     if r < big:
-        assert (prefix.index(ball.codec.coords(ball.spheres[r + 1])) == -1).all()
+        assert (prefix.index(ball.codec.coords(run_keys(*ball.runs[r + 1]))) == -1).all()
     # rows inside the ball's wider codec bounds but past the prefix's own |x_p| bound on one coordinate
-    wide, own = np.array(ball.codec.bounds), np.abs(fresh.coords).max(axis=0)
+    wide, own = np.array(ball.codec.offsets), np.abs(fresh.coords).max(axis=0)
     beyond = []
     for p in np.flatnonzero(own < wide):
         for sign in (1, -1):
@@ -348,6 +350,46 @@ def test_key_overflow_is_a_spec_error():
     table = enumerate_ball(spec, TOP_OF_KEY_RANGE, 3)
     assert KEY_LIMIT - 2**28 < table.codec.strides[0] * table.codec.radices[0] < KEY_LIMIT
     assert table.keys.max() > KEY_LIMIT - KEY_LIMIT // 2**16
+
+
+@st.composite
+def _codecs_and_rows(draw):
+    """Digit offsets and radices with a radix product below KEY_LIMIT, and int64 rows inside their ranges."""
+    radices, room = [], KEY_LIMIT - 1
+    for _ in range(draw(st.integers(1, 6))):
+        radices.append(draw(st.one_of(st.integers(1, min(room, 9)), st.integers(1, room))))
+        room //= radices[-1]
+    offsets = [draw(st.integers(0, radix - 1)) for radix in radices]
+    row = st.tuples(*(st.integers(-offset, radix - 1 - offset) for offset, radix in zip(offsets, radices)))
+    return offsets, radices, draw(st.lists(row, min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codecs_and_rows())
+def test_key_codec_round_trips_in_row_order(case):
+    offsets, radices, rows = case
+    codec = KeyCodec(offsets, radices, "test rows")
+    array = np.array(rows, dtype=np.int64)
+    keys = codec.pack(array)
+    assert codec.coords(keys).tolist() == array.tolist()
+    assert codec.pack(np.zeros(len(rows[0]), dtype=np.int64)) == codec.identity
+    # keys sort as their rows sort lexicographically
+    assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+    # the body/last-digit split inverts pack: the digit is the last coordinate's, and two keys share a body
+    # exactly when their rows agree on every other coordinate, under any codec with the same body digits
+    body, digit = codec.split(keys)
+    assert (codec.join(body, digit) == keys).all()
+    assert (digit == array[:, -1] + offsets[-1]).all()
+    same = body[:, None] == body[None, :]
+    assert (same == (array[:, None, :-1] == array[None, :, :-1]).all(axis=-1)).all()
+    if codec.strides[0] * radices[0] * 2 < KEY_LIMIT:
+        wider = codec.with_last_digit(2 * radices[-1], "test rows")
+        assert (wider.split(wider.pack(array))[0] == body).all()
+    # the least first radix that takes the product to 2^62 raises the one SpecError, and the largest below fits
+    rest = codec.strides[0]
+    with pytest.raises(SpecError, match=r"^test rows do not fit 64-bit keys \(radix product \d+ >= 2\^62\)$"):
+        KeyCodec(offsets, [-(-KEY_LIMIT // rest)] + radices[1:], "test rows")
+    KeyCodec(offsets, [(KEY_LIMIT - 1) // rest] + radices[1:], "test rows")
 
 
 def test_word_length_budget():
