@@ -4,18 +4,22 @@ Sums are exact integers, computed by two independent routes.
 
 The direct route is plain enumeration, factored one axis at a time.  A
 histogram hist[u, v] counts the partial points (over the axes folded so far)
-whose used l1 radius is u and whose running gcd is v.  Folding an axis maps
-each state through (u + |y|, gcd(v, |a + y|)) for every step y of that axis,
-with exact int64 counts (a ball has fewer than 2^62 points).  The last axis is
-closed instead of folded: with R[v, c] the sum of gcd(v, |a + y|) over its
-steps y of cost c, each state (u, v) of count k adds k * R[v, c] to the sum at
-norm u + c, for the norms inside the ball.  Every such product and sum is a
+whose used radius is u and whose running gcd is v.  A step y of an axis costs
+|y|; on an l1 ball the used radius adds the costs, on a cube it takes their
+max.  Folding an axis maps each state through (u + |y| or max(u, |y|),
+gcd(v, |a + y|)) for every step y of that axis, with exact int64 counts (a
+ball has fewer than 2^62 points).  The last axis is closed instead of
+folded: with R[v, c] the sum of gcd(v, |a + y|) over its steps y of cost c,
+each state (u, v) of count k adds k * R[v, c] to the sum at norm u + c (or
+max(u, c)), for the norms inside the ball.  Every such product and sum is a
 gcd sum over some of the ball's points, so at most points * (width - 1), and
 int64 is exact while that stays below 2^63; past it the closing runs in
 Python ints.  Both steps run over the histogram's support only, in blocks, so
-a sparse histogram costs what it holds.  Cube axes cost nothing, so a cube is
-a single row; an l1 ball of radius N keeps one row per exact norm u <= N, and
-one pass gives S(0), ..., S(N).
+a sparse histogram costs what it holds.  A ball of radius N keeps one row per
+exact norm u <= N, so one pass gives S(0), ..., S(N) for either norm; that
+is (N + 1) x width histogram cells, charged to the budget, so a sweep whose
+offset dwarfs its radius may be refused where one ball fits.  A plain box
+(one cube, or the positive cube) prices every step at 0 and keeps one row.
 
 The sieve route never enumerates points.  gcd(x) = sum_{e | x} phi(e) for
 x != 0 turns a ball sum into sum_e phi(e) * (#multiples of e in the ball,
@@ -87,15 +91,15 @@ def _totients(limit: int, budget: int | None) -> np.ndarray:
     return phi
 
 
-def _axis(lo: int, hi: int, shift: int, l1: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _axis(lo: int, hi: int, shift: int, costed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps y in [lo, hi] grouped by (cost, value) with their multiplicities, sorted by cost, then value.
 
-    The value is |y + shift|; the cost is |y| on an l1 axis and 0 on a cube axis.
+    The value is |y + shift|; the cost is |y|, or 0 on a box's axis (costed false).
     One bincount over cost * width + value groups the pairs; its table has
     (largest cost + 1) * (largest value + 1) cells, within the histogram's.
     """
     ys = np.arange(lo, hi + 1, dtype=np.int64)
-    costs = np.abs(ys) if l1 else np.zeros_like(ys)
+    costs = np.abs(ys) if costed else np.zeros_like(ys)
     values = np.abs(ys + shift)
     width = int(values.max()) + 1
     mults = np.bincount(costs * width + values)
@@ -108,32 +112,53 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], a[1:] != a[:-1]))
 
 
-def _fold(hist: np.ndarray, axis, budget: int | None) -> np.ndarray:
+def _states(hist: np.ndarray, axis, budget: int | None):
+    """The histogram's support as (flat index, used radius, row of its gcd in distinct, distinct running gcds).
+
+    The fold or closing over it visits len(support) * len(axis entries) cells,
+    which go through the budget; distinct has no more entries than support.
+    """
+    support = np.flatnonzero(hist.ravel())
+    check_budget(len(support) * len(axis[1]), budget, "cells of the gcd fold")
+    used, gcd = np.divmod(support, hist.shape[1])
+    present = np.zeros(hist.shape[1], dtype=bool)  # no sort: a gcd is below the histogram's width
+    present[gcd] = True
+    return support, used, (np.cumsum(present) - 1)[gcd], np.flatnonzero(present)
+
+
+def _gcd_table(distinct: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """gcd(distinct[i], values[j]) for entries below width, in int32 when they fit it (its Euclid steps are cheaper)."""
+    dtype = np.int32 if width <= 2**31 else np.int64
+    return np.gcd.outer(distinct.astype(dtype), values.astype(dtype))
+
+
+def _fold(hist: np.ndarray, axis, combine, budget: int | None) -> np.ndarray:
     """Fold one axis into hist[u, v], the count of partial points with used radius u and running gcd v.
 
-    Each state moves to (u + cost, gcd(v, value)) for every axis entry; states
-    whose used radius passes the last row drop out.  The states go in blocks
-    of at most FOLD_BLOCK (state, entry) cells, each block's gcds computed
-    directly and scattered with exact int64 adds.
+    Each state moves to (combine(u, cost), gcd(v, value)) for every axis
+    entry; states whose used radius passes the last row drop out.  The gcds
+    come from one table over the distinct running gcds and the entries'
+    values, so states that share a gcd share its Euclid work.  The states go
+    in blocks of at most FOLD_BLOCK (state, entry) cells, scattered with exact
+    int64 adds.
     """
     costs, values, mults = axis
     rows, width = hist.shape
     flat = hist.ravel()
-    support = np.flatnonzero(flat)
-    check_budget(len(support) * len(values), budget, "cells of the gcd fold")
-    used, gcd = np.divmod(support, width)
+    support, used, row, distinct = _states(hist, axis, budget)
+    table = _gcd_table(distinct, values, width)
     out = np.zeros_like(flat)
     step = max(1, FOLD_BLOCK // len(values))
     for lo in range(0, len(support), step):
         block = slice(lo, lo + step)
-        to_used = used[block, None] + costs
+        to_used = combine(used[block, None], costs)
         keep = to_used < rows
-        target = to_used * width + np.gcd(gcd[block, None], values)
+        target = to_used * width + table[row[block]]
         np.add.at(out, target[keep], (flat[support[block], None] * mults)[keep])
     return out.reshape(rows, width)
 
 
-def _close(hist: np.ndarray, axis, dtype, budget: int | None) -> list[int]:
+def _close(hist: np.ndarray, axis, combine, dtype, budget: int | None) -> list[int]:
     """Close the last axis: entry m is the gcd sum over the points of used radius m.
 
     R[v, c] sums mult * gcd(v, value) over the axis's entries of cost c; it has
@@ -141,60 +166,64 @@ def _close(hist: np.ndarray, axis, dtype, budget: int | None) -> list[int]:
     the histogram, and is built in blocks of at most FOLD_BLOCK gcd cells.
     Then the states, in order of used radius, go in blocks of at most
     FOLD_BLOCK (state, cost) cells: q[u, c] sums k * R[v, c] over a block's
-    states (u, v) of count k, and entry u + c gains q[u, c] while u + c is in
-    the ball; a q[u, c] past the ball is dropped, and in int64 it may have
-    wrapped first.  That is no more work than folding the axis, and the
-    fold's cells go through the budget.
+    states (u, v) of count k, and entry combine(u, c) gains q[u, c] while it
+    is in the ball; a q[u, c] past the ball is dropped, and in int64 it may
+    have wrapped first.  That is no more work than folding the axis.
     """
     costs, values, mults = axis
-    rows, width = hist.shape
-    flat = hist.ravel()
-    support = np.flatnonzero(flat)
-    check_budget(len(support) * len(values), budget, "cells of the gcd fold")
-    used, gcd = np.divmod(support, width)
-    distinct, row = np.unique(gcd, return_inverse=True)
+    rows = hist.shape[0]
+    support, used, row, distinct = _states(hist, axis, budget)
     starts = np.flatnonzero(_run_starts(costs))
     cost = costs[starts]
     closing = np.empty((len(distinct), len(starts)), dtype)
     step = max(1, FOLD_BLOCK // len(values))
     for lo in range(0, len(distinct), step):
-        table = np.gcd.outer(distinct[lo : lo + step], values).astype(dtype, copy=False)
+        table = _gcd_table(distinct[lo : lo + step], values, hist.shape[1]).astype(dtype, copy=False)
         closing[lo : lo + step] = np.add.reduceat(table * mults, starts, axis=1)
-    count = flat[support].astype(dtype, copy=False)
+    count = hist.ravel()[support].astype(dtype, copy=False)
     per_norm = np.zeros(rows, dtype)
     step = max(1, FOLD_BLOCK // len(starts))
     for lo in range(0, len(support), step):
         block = slice(lo, lo + step)
         runs = np.flatnonzero(_run_starts(used[block]))
         q = np.add.reduceat(count[block, None] * closing[row[block]], runs, axis=0)
-        to_used = used[block][runs, None] + cost
+        to_used = combine(used[block][runs, None], cost)
         keep = to_used < rows
         np.add.at(per_norm, to_used[keep], q[keep])
     return per_norm.tolist()
 
 
-def _direct_sums(ranges: list[tuple[int, int, int]], l1: bool, points: int, budget: int | None) -> list[int]:
+def _direct_sums(ranges: list[tuple[int, int, int]], combine, points: int, budget: int | None) -> list[int]:
     """Entry u is the gcd sum over the points of used radius u; each range (lo, hi, shift) is one axis.
 
-    Every axis but the last is folded into the histogram, and the last is
-    closed (see _close).  A count is at most points; an entry of R is at most
-    the axis's length, which is at most points, times width - 1; and a product
-    or sum that is kept is a gcd sum over some of the ball's points.  So all
-    are at most points * (width - 1): int64 is exact while that is below 2^63,
-    and the closing runs in Python ints past it.
+    combine joins a used radius and a step's cost |y|: np.add on an l1 ball,
+    np.maximum on a cube.  None prices every step at 0, so one row holds the
+    whole box.  Every axis but the last is folded into the histogram, and the
+    last is closed (see _close).  A count is at most points; an entry of R is
+    at most the axis's length, which is at most points, times width - 1; and a
+    product or sum that is kept is a gcd sum over some of the ball's points.
+    So all are at most points * (width - 1): int64 is exact while that is
+    below 2^63, and the closing runs in Python ints past it.
     """
     if points >= POINT_LIMIT:
         raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
     check_budget(points, budget, "points of the gcd ball")
-    rows = 1 + max(max(-lo, hi) for lo, hi, _ in ranges) if l1 else 1
+    costed = combine is not None
+    combine = combine or np.add
+    rows = 1 + max(max(-lo, hi) for lo, hi, _ in ranges) if costed else 1
     width = 1 + max(max(abs(lo + shift), abs(hi + shift)) for lo, hi, shift in ranges)
     check_budget(rows * width, budget, "cells of the gcd histogram")
-    axes = [_axis(lo, hi, shift, l1) for lo, hi, shift in ranges]
+    axes = [_axis(lo, hi, shift, costed) for lo, hi, shift in ranges]
     hist = np.zeros((rows, width), dtype=np.int64)
-    hist[0, 0] = 1
-    for axis in axes[:-1]:
-        hist = _fold(hist, axis, budget)
-    return _close(hist, axes[-1], np.int64 if points * (width - 1) < 2**63 else object, budget)
+    if len(axes) == 1:
+        hist[0, 0] = 1
+    else:
+        # Folding the first axis into the one state (0, 0) lands on (cost, value): combine(0, c) = c, gcd(0, x) = x.
+        costs, values, mults = axes[0]
+        hist[costs, values] = mults
+    for axis in axes[1:-1]:
+        hist = _fold(hist, axis, combine, budget)
+    return _close(hist, axes[-1], combine, np.int64 if points * (width - 1) < 2**63 else object, budget)
 
 
 def _box_sum(lo: list[int], hi: list[int], method: str, budget: int | None) -> int:
@@ -205,7 +234,7 @@ def _box_sum(lo: list[int], hi: list[int], method: str, budget: int | None) -> i
     """
     if method == "direct":
         points = math.prod(h - l + 1 for l, h in zip(lo, hi))
-        return _direct_sums([(l, h, 0) for l, h in zip(lo, hi)], False, points, budget)[0]
+        return _direct_sums([(l, h, 0) for l, h in zip(lo, hi)], None, points, budget)[0]
     if method != "sieve":
         raise SpecError(f"unknown method {method!r}")
     limit = max(abs(x) for x in lo + hi)
@@ -237,7 +266,7 @@ def l1_gcd_sums(
     ball = LatticeBallSpec(dim, radius, L1, tuple(offset))
     n = ball.radius
     if method == "direct":
-        per_norm = _direct_sums([(-n, n, a) for a in ball.offset], True, l1_ball_count(dim, n), budget)
+        per_norm = _direct_sums([(-n, n, a) for a in ball.offset], np.add, l1_ball_count(dim, n), budget)
         return list(accumulate(per_norm))
     if method != "sieve":
         raise SpecError(f"unknown method {method!r}")
@@ -250,6 +279,19 @@ def l1_gcd_sums(
     for e in range(1, n + 1):
         steps[e::e] += int(phi[e]) * spheres[1 : n // e + 1]
     return list(accumulate(steps.tolist()))
+
+
+def cube_gcd_sums(dim: int, radius: int, offset: tuple[int, ...] = (), budget: int | None = None) -> list[int]:
+    """[S(0), ..., S(radius)], where S(n) sums gcd(x + offset) over the cube |x|_inf <= n.
+
+    The cube twin of l1_gcd_sums' direct route: one fold over (used max-norm,
+    gcd) states gives the sum for every exact max-norm.  The sieve route is
+    one gcd_sum per radius.
+    """
+    ball = LatticeBallSpec(dim, radius, CUBE, tuple(offset))
+    n = ball.radius
+    per_norm = _direct_sums([(-n, n, a) for a in ball.offset], np.maximum, cube_ball_count(dim, n), budget)
+    return list(accumulate(per_norm))
 
 
 def gcd_sum(ball: LatticeBallSpec, budget: int | None = None, method: str = "direct") -> int:

@@ -29,7 +29,14 @@ from .conjugacy import (
     hd_embeddings,
 )
 from .errors import StructuralError
-from .gcdsums import LatticeBallSpec, expected_gcd, gcd_sum, l1_gcd_sums, positive_cube_gcd_sum
+from .gcdsums import (
+    LatticeBallSpec,
+    cube_gcd_sums,
+    expected_gcd,
+    gcd_sum,
+    l1_gcd_sums,
+    positive_cube_gcd_sum,
+)
 from .groups import (
     GroupSpec,
     broken_relators,
@@ -159,14 +166,14 @@ def check_length_window(spec: GroupSpec, radius: int) -> None:
 
 
 def check_gcd_methods_agree() -> None:
-    for ball in (
-        LatticeBallSpec(dim=2, radius=30, norm="cube"),
-        LatticeBallSpec(dim=3, radius=12, norm="l1"),
-        LatticeBallSpec(dim=2, radius=25, norm="cube", offset=(3, -5)),
-        LatticeBallSpec(dim=3, radius=40, norm="cube"),
-    ):
+    """Direct against sieve: single balls, cube sequences (one direct pass, one sieve per ball), l1 sequences."""
+    for ball in (LatticeBallSpec(dim=2, radius=30, norm="cube"), LatticeBallSpec(dim=3, radius=12, norm="l1")):
         if gcd_sum(ball, method="direct") != gcd_sum(ball, method="sieve"):
             raise StructuralError(f"gcd sum methods disagree on {ball}")
+    for dim, radius, offset in ((2, 25, (3, -5)), (3, 40, (0, 0, 0))):
+        per_ball = [gcd_sum(LatticeBallSpec(dim, n, "cube", offset), method="sieve") for n in range(radius + 1)]
+        if cube_gcd_sums(dim, radius, offset) != per_ball:
+            raise StructuralError(f"cube gcd sum sequences disagree in dim {dim}, offset {offset}, to radius {radius}")
     for dim in (2, 4):
         if l1_gcd_sums(dim, 30, method="direct") != l1_gcd_sums(dim, 30, method="sieve"):
             raise StructuralError(f"l1 gcd sum sequences disagree in dim {dim} up to radius 30")

@@ -161,6 +161,8 @@ class BallCodec(KeyCodec):
         # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
         # j_t(g) as its digit less the digit's offset bound, and that offset part is folded into the shift here.
         # A pair's digit products go to the span of steps from the first to the last one that moves along a_t.
+        # Radius 0 takes no step, so it plans none: its codec fits even where the steps' keys would not.
+        steps = steps if n else []
         deltas = [sum(x * stride for x, stride in zip(g, self.strides)) for g in steps]
         self.cross = []  # (j_t stride, j_t radix, span of steps, -w_t i_t(x) per step x of the span) per pair
         for w, a in pairs:

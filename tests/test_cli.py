@@ -1,11 +1,13 @@
 """CLI tests: exit codes, CSV shape, determinism, manifests."""
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, build_parser, load_spec, main
 from nilgrowth.errors import SpecError
+from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 
 
 def _read_csv(path):
@@ -144,6 +146,38 @@ def test_gcdsum_offset(tmp_path):
     assert code == EXIT_OK
     rows = _read_csv(out)
     assert rows[0] == ["n", "sum"] and len(rows) == 9
+
+
+@pytest.mark.parametrize("norm, offset", [("cube", "3,-5,2"), ("l1", "2,-1,3"), ("cube", "0,0,0"), ("l1", "0,0,0")])
+def test_gcdsum_direct_rows_from_one_pass_match_each_ball(capsys, norm, offset):
+    # radius 10 with step 3 samples 1, 4, 7, 10; radius 11 ends on 10, so the one pass runs to 10, not 11
+    for radius in (10, 11):
+        argv = ["gcdsum", "--dim", "3", "--radius", str(radius), "--norm", norm, "--offset", offset, "--step", "3"]
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        ball = LatticeBallSpec(3, 0, norm, tuple(int(a) for a in offset.split(",")))
+        expected = [f"{n},{gcd_sum(replace(ball, radius=n))}" for n in (1, 4, 7, 10)]
+        assert rows == ["n,sum"] + expected
+        if offset == "0,0,0":
+            assert main(argv + ["--method", "sieve"]) == EXIT_OK
+            assert capsys.readouterr().out.splitlines() == rows
+
+
+def test_gcdsum_radius_zero_prints_the_header_only(capsys):
+    for method in ("direct", "sieve"):
+        for norm in ("cube", "l1"):
+            assert main(["gcdsum", "--dim", "2", "--radius", "0", "--norm", norm, "--method", method]) == EXIT_OK
+            assert capsys.readouterr().out.splitlines() == ["n,sum"]
+
+
+def test_gcdsum_one_pass_past_the_budget_exits_3(capsys):
+    # the one cube pass holds (N + 1) x width cells: about 2.0e8 here, past the default 10^8
+    assert main(["gcdsum", "--dim", "1", "--radius", "200", "--offset", "1000000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip().splitlines() == [
+        "budget exceeded: cells of the gcd histogram: 201040401 needed, beyond the 100000000 cap"
+    ]
 
 
 def test_twisted_and_extension(tmp_path):

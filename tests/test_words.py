@@ -352,6 +352,16 @@ def test_key_overflow_is_a_spec_error():
     assert table.keys.max() > KEY_LIMIT - KEY_LIMIT // 2**16
 
 
+def test_radius_zero_plans_no_step():
+    # a step past int64 is never taken at radius 0, so the identity's ball builds; radius 1 is refused as before
+    spec = named_spec("H1")
+    huge = GeneratingSet(((2**70, 0, 0),))
+    assert enumerate_ball(spec, huge, 0).ball_sizes() == [1]
+    assert word_length(spec, (1, 0, 0), huge, 0) is None
+    with pytest.raises(SpecError, match="64-bit"):
+        enumerate_ball(spec, huge, 1)
+
+
 @st.composite
 def _codecs_and_rows(draw):
     """Digit offsets and radices with a radix product below KEY_LIMIT, and int64 rows inside their ranges."""
