@@ -241,15 +241,15 @@ def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii
     """
     spec = table.spec
     conj = ball.prefix(radii[-1])
-    codec = conj.codec
-    keys, lengths = conj.keys, conj.lengths
+    x, lengths = conj.coords, conj.lengths
     if f.eps == 1:
-        bodies, first = np.unique(codec.split(keys)[0], return_index=True)
-        keys, lengths = codec.join(bodies, codec.offsets[-1]), lengths[first]  # k = 0 on each body
+        # a body is one block of the key order, which starts at its least k, not its least length
+        first = np.unique(conj.codec.split(conj.keys)[0], return_index=True)[1]
+        x, lengths = x[first], np.minimum.reduceat(lengths, first)
     label = new_labels(len(table.keys))
     for lo, hi in zip((-1,) + radii, radii):
-        x = codec.coords(keys[(lo < lengths) & (lengths <= hi)])
-        merge_conjugates(spec, table, label, x, apply_automorphism_array(spec, f, x))
+        x_part = x[(lo < lengths) & (lengths <= hi)]
+        merge_conjugates(spec, table, label, x_part, apply_automorphism_array(spec, f, x_part))
         yield label
 
 

@@ -22,6 +22,7 @@ from .groups import (
     GroupSpec,
     Vector,
     abelianize,
+    affine_maps,
     broken_relators,
     central_element,
     check_element,
@@ -135,16 +136,15 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
     """Merge the part of every ball element h with that of fx[i] h x[i]^-1, for every conjugator row i, in place.
 
     fx = x merges conjugates; fx = f(x) merges f-twisted conjugates.  x and fx
-    are (rows, ncoords) arrays of int64 or exact Python ints.
+    are (rows, ncoords) arrays of int64 or exact Python ints.  label indexes
+    table.keys, and an image is found by its position there.
 
     Every image is computed as a key, never as a coordinate row.  With
-    u = fx[i] and v = x[i]^-1, the body of u h v is body(h) + shift, where
-    shift = body(u) + body(v), and its k is affine in h: c + sum_p lin_p h_p,
-    as h enters the product once.  shift, c and lin come from multiply_array
-    on the zero vector and the unit vectors, in exact ints, so the group law
-    is read in one place.  With B_p the largest |h_p| over the table, a row
-    that shifts some body coordinate p by more than 2 B_p, or whose c puts
-    every image's |k| past B_k, maps nothing into the table and is dropped.
+    u = fx[i] and v = x[i]^-1, the body of u h v is body(h) + shift and its k
+    is c + lin @ h, from groups.affine_maps in exact ints.  With B_p the
+    largest |h_p| over the table, a row that shifts some body coordinate p by
+    more than 2 B_p, or whose c puts every image's |k| past B_k, maps nothing
+    into the table and is dropped.
 
     The kept rows' images are packed in int64 under a KeyCodec whose body
     digits cover B_p + max |shift_p|, and whose k digit covers |k| <= B_k + 1:
@@ -152,20 +152,14 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
     table element takes, stand for every k outside the table's.  The packing
     is then injective on the images that can be in the table, so one
     searchsorted against the table's keys, repacked under that codec, finds
-    them.  Taken in the table's key order, the images of one row come out
+    them.  The table is in key order, so the images of one row come out
     sorted, which keeps the search fast.  Blocks of about ROW_BLOCK images
     are merged as they are made.  The codec, or a k term of KEY_LIMIT or more,
     raises SpecError, so no int64 sum can wrap.
     """
-    ordered, order = table._sorted
-    coords = table.codec.coords(ordered)  # the table in key order
-    bound, nc = np.abs(coords).max(axis=0).astype(object), spec.ncoords
-    probes = np.eye(nc + 1, nc, -1, dtype=np.int64).astype(object)  # the zero vector, then the unit vectors
-    u = fx.astype(object)[:, None]
-    v = inverse_array(spec, x.astype(object))[:, None]
-    image = multiply_array(spec, multiply_array(spec, u, probes), v)
-    shift, c = image[:, 0, :-1], image[:, 0, -1]
-    lin = image[:, 1:, -1] - c[:, None]
+    coords = table.coords
+    bound = np.abs(coords).max(axis=0).astype(object)
+    shift, c, lin = affine_maps(spec, fx, inverse_array(spec, x.astype(object)))
     # the largest |k - c| of a row's images over the table
     reach = np.abs(lin) @ bound
     keep = (np.abs(shift) <= 2 * bound[:-1]).all(axis=1) & (np.abs(c) <= bound[-1] + reach)
@@ -182,18 +176,18 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np
     keys = np.append(wide.pack(coords), np.iinfo(np.int64).max)
     body = wide.pack(coords[:, :-1])
     base = (wide.pack(shift.astype(np.int64)) - wide.identity)[:, None]
-    coords, c, lin = coords.T, c.astype(np.int64)[:, None], lin.astype(np.int64)
-    block = max(1, ROW_BLOCK // len(order))
+    c, lin, rows = c.astype(np.int64)[:, None], lin.astype(np.int64), np.arange(len(coords))
+    block = max(1, ROW_BLOCK // len(coords))
     for lo in range(0, len(c), block):
         part = slice(lo, lo + block)
-        img = lin[part] @ coords
+        img = lin[part] @ coords.T
         img += c[part]
         np.clip(img, -offsets[-1], offsets[-1], out=img)
         img += body
         img += base[part]
         pos = np.searchsorted(keys, img)
         hit = keys[pos] == img
-        merge_parts(label, np.broadcast_to(order, img.shape)[hit], order[pos[hit]])
+        merge_parts(label, np.broadcast_to(rows, img.shape)[hit], pos[hit])
 
 
 class ClassLengths(Mapping):
@@ -249,8 +243,7 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     # A nonzero modulus is at most any nonzero entry of Omega v^T + kappa, bounded over the ball here.
     reach = omega_apply(spec, tuple(codec.offsets[:-1]))
     classes = codec.with_last_digit(max(abs(x) + abs(y) for x, y in zip(reach, kappa)), "class keys of this ball")
-    lo, hi = table.flat_runs
-    level = np.repeat(np.arange(len(table.runs), dtype=np.int32), [len(lo) for lo, _ in table.runs])
+    lo, hi, level = table.flat_runs
     body, digit = codec.split(lo)
     m = _class_moduli(spec, codec, lo, kappa)
     reduced = m > 0
@@ -519,7 +512,8 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
     # phi into H_r: coordinates (i_t, j_t, k) -> (w_t i_t, j_t, k)
     hr = make_group_spec(0, r, (1,) * (r - 1))
     scale = np.array([v for w in spec.weights for v in (w, 1)] + [1])
-    g, h = x[:400:7, None], x[None, :400:11]
+    # rows spread evenly over the whole ball, so the sample does not depend on the ball's order
+    g, h = x[np.linspace(0, len(x) - 1, 58).astype(int), None], x[None, np.linspace(0, len(x) - 1, 37).astype(int)]
     hom_ok = bool((multiply_array(spec, g, h) * scale == multiply_array(hr, g * scale, h * scale)).all())
     phi_x = (x * scale)[np.lexsort((x * scale).T)]
     injective_ok = bool((phi_x[1:] != phi_x[:-1]).any(axis=1).all())  # sorted, so equal rows would be adjacent

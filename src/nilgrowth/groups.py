@@ -261,6 +261,20 @@ def power_array(spec: GroupSpec, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def affine_maps(spec: GroupSpec, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shift, c, lin) of h -> left h right for (..., ncoords) rows left and right, broadcast, as exact-int arrays.
+
+    The body of left h right is body(h) + shift and its k is c + lin @ h, as h
+    enters the product once: read off multiply_array at h = 0 and at each unit
+    vector e_p, so lin's last entry is 1.
+    """
+    probes = np.eye(spec.ncoords + 1, spec.ncoords, -1, dtype=np.int64).astype(object)
+    left, right = (np.asarray(rows, dtype=object)[..., None, :] for rows in (left, right))
+    image = multiply_array(spec, multiply_array(spec, left, probes), right)
+    shift, c = image[..., 0, :-1], image[..., 0, -1]
+    return shift, c, image[..., 1:, -1] - c[..., None]
+
+
 def commutator(spec: GroupSpec, g: Element, h: Element) -> Element:
     """[g, h] = g h g^-1 h^-1, computed by composition (not the bilinear form)."""
     mul, inv = spec.mul, spec.inv

@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetError, SpecError
-from .groups import Element, GroupSpec, standard_generators
+from .groups import Element, GroupSpec, affine_maps, standard_generators
 
 DEFAULT_BUDGET = 10**8
 # Packed keys stay below this, so a key plus one step's shift cannot overflow int64, nor can it part way through
@@ -120,14 +120,14 @@ class KeyCodec:
         """The key of every (..., p) int64 row of the first p coordinates, inside their ranges; the rest are 0."""
         return self.identity + coords @ np.array(self.strides[: coords.shape[-1]], dtype=np.int64)
 
-    def pack_rows(self, coords: np.ndarray, bounds) -> np.ndarray:
-        """The key of every (..., ncoords) coordinate row, or -1 for a row with some |x_p| > bounds[p].
+    def pack_rows(self, coords: np.ndarray) -> np.ndarray:
+        """The key of every (..., ncoords) coordinate row, or -1 for a row with some digit outside [0, radices[p]).
 
-        bounds lie within the codec's own.  The rows outside are zeroed before
-        the int64 conversion and masked after packing, so a row far outside,
-        int64 or exact Python ints, neither overflows nor reads as a valid key.
+        The rows outside are zeroed before the int64 conversion and masked
+        after packing, so a row far outside, int64 or exact Python ints,
+        neither overflows nor reads as a valid key.
         """
-        inside = (np.abs(coords) <= bounds).all(axis=-1)
+        inside = ((coords >= -np.array(self.offsets)) & (coords < np.subtract(self.radices, self.offsets))).all(axis=-1)
         return np.where(inside, self.pack(np.where(inside[..., None], coords, 0).astype(np.int64)), -1)
 
     def split(self, keys):
@@ -149,31 +149,39 @@ class KeyCodec:
 
 
 class BallCodec(KeyCodec):
-    """The radius-n ball's codec and its one-step plan (expand): |x_p| <= offsets[p], a bound from the steps."""
+    """The radius-n ball's codec and its one-step plan (expand): |x_p| <= offsets[p], a bound from the steps.
+
+    Both are read off the steps' affine maps h -> h g (groups.affine_maps):
+    the body of h g is body(h) + body(g), and its k is k(h) + k(g) plus
+    lin_p(g) h_p summed over the body coordinates p.
+    """
 
     def __init__(self, spec: GroupSpec, steps: list[Element], n: int):
-        top = [max((abs(x[p]) for x in steps), default=0) for p in range(spec.ncoords)]
-        pairs = [(w, spec.s + 2 * t) for t, w in enumerate(spec.weights)]
-        # g*x adds -w_t j_t(g) i_t(x) to k, and |j_t(g)| <= (m - 1) max|j_t| before step m.
-        k_bound = n * top[-1] + sum(w * top[a] * top[a + 1] for w, a in pairs) * (n * (n - 1) // 2)
-        bounds = [n * t for t in top[:-1]] + [k_bound]
-        super().__init__(bounds, [2 * b + 1 for b in bounds], f"elements of the radius-{n} ball")
-        # g*x shifts the key of g by the key offset of x plus -w_t j_t(g) i_t(x) for every pair t.  expand reads
-        # j_t(g) as its digit less the digit's offset bound, and that offset part is folded into the shift here.
-        # A pair's digit products go to the span of steps from the first to the last one that moves along a_t.
         # Radius 0 takes no step, so it plans none: its codec fits even where the steps' keys would not.
-        steps = steps if n else []
-        deltas = [sum(x * stride for x, stride in zip(g, self.strides)) for g in steps]
-        self.cross = []  # (j_t stride, j_t radix, span of steps, -w_t i_t(x) per step x of the span) per pair
-        for w, a in pairs:
-            corr = [-w * x[a] for x in steps]
-            moves = [i for i, c in enumerate(corr) if c]
+        rows = np.array(steps if n else [], dtype=object).reshape(-1, spec.ncoords)
+        shift, c, lin = affine_maps(spec, spec.identity(), rows)
+        lin = lin[:, :-1]  # the body coordinates' terms: k(h) enters h g with coefficient 1
+        top = [max(map(abs, g_p), default=0) for g_p in shift.T.tolist()]  # the largest |g_p| over the steps
+        cross = sum(max(map(abs, lin_p), default=0) * t for lin_p, t in zip(lin.T.tolist(), top))
+        # |h_p| <= (m - 1) top[p] before step m, so step m adds at most max|k(g)| + sum_p max|lin_p(g)| (m - 1) top[p]
+        k_bound = n * max(map(abs, c.tolist()), default=0) + cross * (n * (n - 1) // 2)
+        bounds = [n * t for t in top] + [k_bound]
+        super().__init__(bounds, [2 * b + 1 for b in bounds], f"elements of the radius-{n} ball")
+        # h g shifts h's key by g's less the identity's, plus lin_p(g) h_p per body coordinate p.  expand reads h_p as
+        # its digit less its offset, folded into deltas here, over the steps from the first to the last with lin_p != 0.
+        strides, offsets = (np.array(x[:-1], dtype=object) for x in (self.strides, self.offsets))
+        deltas = shift @ strides + c - lin @ offsets
+        # The k bound leaves out a lin term at radius 1, or along a coordinate no step moves, so there a huge weight
+        # can put the plan past int64 while the keys fit.
+        if max(map(abs, deltas.tolist() + lin.ravel().tolist()), default=0) >= 2**63:
+            raise SpecError(f"steps of the radius-{n} ball do not fit 64-bit keys")
+        self.deltas = deltas.astype(np.int64)[:, None]
+        self.cross = []  # (h_p stride, h_p radix, span of steps, lin_p(g) per step g of the span) per moving p
+        for p, column in enumerate(lin.T):
+            moves = column.nonzero()[0].tolist()
             if moves:
                 span = slice(moves[0], moves[-1] + 1)
-                deltas = [d - c * self.offsets[a + 1] for d, c in zip(deltas, corr)]
-                column = np.array(corr[span], dtype=np.int64)[:, None]
-                self.cross.append((self.strides[a + 1], self.radices[a + 1], span, column))
-        self.deltas = np.array(deltas, dtype=np.int64)[:, None]
+                self.cross.append((self.strides[p], self.radices[p], span, column[span].astype(np.int64)[:, None]))
 
     def expand(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill the (steps, len(keys)) array out with the keys of every one-step product: row i holds g*x_i, g in keys.
@@ -196,11 +204,6 @@ def run_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         keys[ends[:-1]] = lo[1:] - hi[:-1]
         np.cumsum(keys, out=keys)
     return keys
-
-
-def run_size(lo: np.ndarray, hi: np.ndarray) -> int:
-    """How many keys the runs [lo, hi] hold."""
-    return int((hi - lo).sum()) + len(lo)
 
 
 def _spheres(codec: BallCodec, n: int, cap: int):
@@ -258,8 +261,9 @@ def _spheres(codec: BallCodec, n: int, cap: int):
 class BallTable:
     """Exact word lengths for the radius-n ball: each sphere as its sorted, disjoint runs of consecutive keys.
 
-    The per-element arrays (keys, coords, entries, the index) are built from
-    the runs on first use.
+    The per-element arrays (keys, lengths, coords, entries) are built from the
+    runs on first use, all in one order: increasing key, which is
+    lexicographic coordinate order.  index returns positions in that order.
     """
 
     spec: GroupSpec
@@ -269,7 +273,7 @@ class BallTable:
 
     @cached_property
     def sphere_sizes(self) -> list[int]:
-        return [run_size(lo, hi) for lo, hi in self.runs]
+        return [int((hi - lo).sum()) + len(lo) for lo, hi in self.runs]
 
     def ball_sizes(self) -> list[int]:
         """Cumulative counts beta(m) for m = 0..radius."""
@@ -277,18 +281,21 @@ class BallTable:
 
     @cached_property
     def entries(self) -> dict[Element, int]:
-        """Element -> word length, sphere by sphere and lexicographic within a sphere."""
+        """Element -> word length, in key order."""
         return dict(zip(map(tuple, self.coords.tolist()), self.lengths.tolist()))
 
     @property
-    def flat_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The runs of every sphere in one (lo, hi) pair of arrays, sphere by sphere."""
-        return np.concatenate([lo for lo, _ in self.runs]), np.concatenate([hi for _, hi in self.runs])
+    def flat_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The runs of every sphere and each run's sphere, (lo, hi, level), sorted by start: so in key order."""
+        lo, hi = (np.concatenate(ends) for ends in zip(*self.runs))
+        level = np.repeat(np.arange(len(self.runs), dtype=np.int32), [len(lo) for lo, _ in self.runs])
+        order = lo.argsort(kind="stable")  # merges the spheres, each sorted
+        return lo[order], hi[order], level[order]
 
     @cached_property
     def keys(self) -> np.ndarray:
-        """Every key of the ball in the order of entries: sphere by sphere, sorted within a sphere."""
-        return run_keys(*self.flat_runs)
+        """Every key of the ball, increasing."""
+        return run_keys(*self.flat_runs[:2])
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -298,12 +305,8 @@ class BallTable:
     @cached_property
     def lengths(self) -> np.ndarray:
         """The word length of every row of keys."""
-        return np.repeat(np.arange(len(self.runs)), self.sphere_sizes)
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.keys)
-        return self.keys[order], order
+        lo, hi, level = self.flat_runs
+        return np.repeat(level, hi - lo + 1)
 
     def prefix(self, r: int) -> BallTable:
         """The radius-r ball for r <= radius: spheres 0..r under the same codec, equal to a fresh radius-r ball.
@@ -317,20 +320,11 @@ class BallTable:
             return self
         return BallTable(spec=self.spec, radius=r, codec=self.codec, runs=self.runs[: r + 1])
 
-    @cached_property
-    def _bounds(self) -> np.ndarray:
-        """The largest |x_p| over this ball for every coordinate p: within the codec's bounds, and tighter on a prefix.
-
-        A run's body is fixed and its k runs between its two ends, so the run ends carry every largest |x_p|.
-        """
-        return np.abs(self.codec.coords(np.concatenate(self.flat_runs))).max(axis=0)
-
     def index(self, coords: np.ndarray) -> np.ndarray:
         """The position in keys of every (..., ncoords) coordinate row, or -1 for a row not in the ball."""
-        keys = self.codec.pack_rows(coords, self._bounds)
-        ordered, order = self._sorted
-        pos = np.searchsorted(ordered, keys).clip(max=len(ordered) - 1)
-        return np.where(ordered[pos] == keys, order[pos], -1)
+        keys = self.codec.pack_rows(coords)
+        pos = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
 
 
 def enumerate_ball(
@@ -365,7 +359,7 @@ def word_length(
     if g == spec.identity():
         return 0
     codec = BallCodec(spec, _step_set(spec, gens), cutoff)
-    target = int(codec.pack_rows(np.array(g, dtype=object), codec.offsets))
+    target = int(codec.pack_rows(np.array(g, dtype=object)))
     if target < 0:
         return None
     for level, lo, hi in _spheres(codec, cutoff, cap):
@@ -385,13 +379,10 @@ def central_growth(
     """beta_<c>(m) for m = 0..n: how many c^k lie in the m-ball."""
     table = enumerate_ball(spec, gens, n, budget=budget)
     codec = table.codec
-    # The c^k are the identity's body, whose runs in each sphere are those starting in its key range.
-    ends = codec.join(codec.split(codec.identity)[0] + np.arange(2), 0)
-    counts = []
-    for lo, hi in table.runs:
-        a, b = np.searchsorted(lo, ends)
-        counts.append(run_size(lo[a:b], hi[a:b]))
-    return list(accumulate(counts))
+    # The c^k are the identity's body, one block of the runs in key order: those starting in its key range.
+    lo, hi, level = table.flat_runs
+    a, b = np.searchsorted(lo, codec.join(codec.split(codec.identity)[0] + np.arange(2), 0))
+    return cumulative_counts(np.repeat(level[a:b], hi[a:b] - lo[a:b] + 1), n)
 
 
 def bass_guivarch_exponent(spec: GroupSpec) -> int:

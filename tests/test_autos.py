@@ -31,7 +31,7 @@ from nilgrowth.autos import (
     twisted_growth_structural,
     verify_automorphism,
 )
-from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact
+from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact, merge_conjugates, new_labels, part_lengths
 from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 from nilgrowth.groups import abelianize, named_spec, standard_generators
@@ -44,7 +44,7 @@ from nilgrowth.intlinalg import (
     rank,
     row_kernel_vector,
 )
-from nilgrowth.words import standard_generating_set
+from nilgrowth.words import cumulative_counts, enumerate_ball, standard_generating_set
 
 H1 = named_spec("H1")
 HD2 = named_spec("HD2")
@@ -518,3 +518,22 @@ def test_row_kernel_vector():
     assert v is not None and v[0] * 1 + v[1] * 2 == 0 and v[0] * 2 + v[1] * 4 == 0
     v = row_kernel_vector(((0, 1), (0, 0)))
     assert v == (0, 1) or v == (0, -1)
+
+
+@pytest.mark.parametrize("name, kappa", [("H1", (6, 8)), ("H1", (3, -2)), ("ZxH1", (2, 5, -3))])
+def test_eps_plus_one_conjugators_keep_each_body_at_its_least_length(name, kappa):
+    # Under eps = +1 the brute force merges one conjugator per abelian body; both of its passes must equal the merge
+    # over every conjugator of the same length prefixes.  A body's length is its least over the body, which is not
+    # the length of its smallest-k element.
+    spec = named_spec(name)
+    gens = standard_generating_set(spec)
+    f = make_automorphism(spec, identity_matrix(spec.dim), kappa)
+    n, radius = 3, 2
+    res = twisted_growth_bruteforce(spec, gens, f, n, conjugator_radius=radius)
+    ball = enumerate_ball(spec, gens, radius + 2)
+    table = ball.prefix(n)
+    for r, counts in ((radius, res.first_pass_counts), (radius + 2, res.counts)):
+        x = ball.prefix(r).coords
+        label = new_labels(len(table.keys))
+        merge_conjugates(spec, table, label, x, apply_automorphism_array(spec, f, x))
+        assert cumulative_counts(part_lengths(label, table.lengths), n) == counts

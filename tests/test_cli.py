@@ -352,6 +352,8 @@ def _bad_argv():
             cases.append(pytest.param(argv + ["--budget", "0"], id=f"{name}-budget-0"))
     big = ["embeddings", "--spec", "{big_weight}"]
     cases += [pytest.param(big, id="embeddings-big-weight"), pytest.param(big + ["--budget", str(2**200)], id="embeddings-big-weight-big-budget")]
+    # the radius-1 ball's keys fit, but its step plan does not
+    cases.append(pytest.param(["ball", "--spec", "{big_weight}", "--radius", "1"], id="ball-big-weight-radius-1"))
     return cases
 
 

@@ -14,6 +14,7 @@ from nilgrowth.conjugacy import class_key, class_modulus
 from nilgrowth.errors import SpecError
 from nilgrowth.groups import (
     abelianize,
+    affine_maps,
     canonical_lift,
     central_element,
     check_element,
@@ -396,6 +397,28 @@ def test_array_law_matches_tuple_law(spec, rows, big, data):
     assert inverse_array(spec, ga).tolist() == [list(inverse(spec, x)) for x in g]
     assert power_array(spec, ga, np.array(m)).tolist() == [list(power(spec, x, e)) for x, e in zip(g, m)]
     assert power_array(spec, ga[0], np.array(m)).tolist() == [list(power(spec, g[0], e)) for e in m]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs(), st.integers(1, 4), st.booleans(), st.data())
+def test_affine_maps_match_tuple_products(spec, rows, big, data):
+    # left h right has body body(h) + shift and k = c + lin @ h; big entries pass int64, so the rows are exact ints
+    entry = st.one_of(st.integers(-20, 20), st.sampled_from([2**70, -(2**70)])) if big else st.integers(-20, 20)
+    dtype = object if big else np.int64
+    element = st.tuples(*[entry] * spec.ncoords)
+    left, right = (data.draw(st.lists(element, min_size=rows, max_size=rows)) for _ in range(2))
+    hs = data.draw(st.lists(element, min_size=1, max_size=4))
+    shift, c, lin = affine_maps(spec, np.array(left, dtype=dtype), np.array(right, dtype=dtype))
+    assert shift.shape == (rows, spec.ncoords - 1) and c.shape == (rows,) and lin.shape == (rows, spec.ncoords)
+    for u, v, du, cu, lu in zip(left, right, shift.tolist(), c.tolist(), lin.tolist()):
+        assert lu[-1] == 1 and all(type(x) is int for x in du + [cu] + lu)
+        for h in hs:
+            image = multiply(spec, multiply(spec, u, h), v)
+            assert list(image[:-1]) == [x + d for x, d in zip(h, du)]
+            assert image[-1] == cu + sum(a * x for a, x in zip(lu, h))
+    # a left row of one element broadcasts over the right rows
+    one = affine_maps(spec, spec.identity(), np.array(right, dtype=object))
+    assert [x.tolist() for x in one] == [x.tolist() for x in affine_maps(spec, [spec.identity()] * rows, right)]
 
 
 def test_standard_generators():

@@ -220,13 +220,13 @@ def test_engine_matches_dense_reference(case, kappa):
     spec, gens, n = case
     table = enumerate_ball(spec, gens, n)
     ref = _reference_ball(spec, gens, n)
-    assert list(table.entries.items()) == list(ref.items())
+    assert list(table.entries.items()) == sorted(ref.items())  # key order is lexicographic row order
     assert table.sphere_sizes == [list(ref.values()).count(l) for l in range(n + 1)]
     # The runs: each sphere's sorted keys exactly, as maximal runs sorted and disjoint, each inside one body.
     codec = table.codec
     for level, (lo, hi) in enumerate(table.runs):
         sphere = np.array([g for g, l in ref.items() if l == level]).reshape(-1, spec.ncoords)
-        sphere = codec.pack_rows(sphere, codec.offsets)
+        sphere = codec.pack_rows(sphere)
         assert run_keys(lo, hi).tolist() == table.keys[table.lengths == level].tolist() == sorted(sphere.tolist())
         assert (lo <= hi).all() and (hi[:-1] < lo[1:]).all()
         assert (codec.split(lo)[0] == codec.split(hi)[0]).all()
@@ -241,13 +241,25 @@ def test_engine_matches_dense_reference(case, kappa):
         assert word_length(spec, g, gens, n) == l
     # the row lookup: every ball element at its place in entries; the next sphere is not in the ball,
     # nor is a row past the coordinate bounds that packs to a ball key (one digit carried into the next)
-    assert table.index(np.array(list(ref))).tolist() == list(range(len(ref)))
-    assert table.lengths.tolist() == list(ref.values())
+    assert table.index(np.array(sorted(ref))).tolist() == list(range(len(ref)))
+    assert table.lengths.tolist() == [l for _, l in sorted(ref.items())]
     outside = list(_reference_ball(spec, gens, n + 1).keys() - ref.keys())
     radices = table.codec.radices
     for p in range(1, spec.ncoords):
         outside += [g[: p - 1] + (g[p - 1] - 1, g[p] + radices[p]) + g[p + 1 :] for g in ref]
     assert (table.index(np.array(outside).reshape(-1, spec.ncoords)) == -1).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs_and_gens(), st.data())
+def test_ball_and_prefix_tables_are_in_key_order(case, data):
+    # keys, lengths, coords and entries share one order, increasing key, and index returns positions in it
+    spec, gens, big = case
+    ball = enumerate_ball(spec, gens, big)
+    for table in (ball, ball.prefix(data.draw(st.integers(0, big)))):
+        assert (np.diff(table.keys) > 0).all()
+        assert table.index(table.coords).tolist() == list(range(len(table.keys)))
+        assert table.entries == _reference_ball(spec, gens, table.radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,6 +358,11 @@ def test_key_overflow_is_a_spec_error():
         enumerate_ball(spec, huge, 3)
     with pytest.raises(SpecError, match="64-bit"):
         word_length(spec, (1, 0, 0), huge, 3)
+    # a weight of 2^70: the radius-1 ball's keys fit, but its steps shift k by 2^70 per b_2 digit
+    heavy = make_group_spec(0, 2, (2**70,))
+    assert enumerate_ball(heavy, standard_generating_set(heavy), 0).ball_sizes() == [1]
+    with pytest.raises(SpecError, match="steps of the radius-1 ball do not fit 64-bit keys"):
+        enumerate_ball(heavy, standard_generating_set(heavy), 1)
     # just below the limit: the radius-3 ball of TOP_OF_KEY_RANGE is accepted and its keys reach the top of the range
     table = enumerate_ball(spec, TOP_OF_KEY_RANGE, 3)
     assert KEY_LIMIT - 2**28 < table.codec.strides[0] * table.codec.radices[0] < KEY_LIMIT
