@@ -19,9 +19,11 @@ from .groups import (
     Element,
     GroupSpec,
     Vector,
+    affine_maps,
     broken_relators,
     check_element,
     exact_int,
+    inverse_array,
     multiply_array,
     omega_form,
     power,
@@ -40,7 +42,7 @@ from .intlinalg import (
     row_kernel_vector,
 )
 from .conjugacy import class_lengths, merge_conjugates, merge_images, new_labels, part_lengths
-from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball
+from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, run_keys
 
 
 def check_in_M(spec: GroupSpec, m: Matrix) -> int | None:
@@ -229,27 +231,43 @@ def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000) ->
     return report
 
 
+def _conjugator_maps(f: Automorphism, conj: BallTable):
+    """(maps, lengths): the affine maps (see merge_conjugates) of h -> f(x) h x^{-1} for x in conj, and their lengths.
+
+    x = y c^j gives f(x) h x^{-1} = f(y) h y^{-1} c^{(eps - 1) j}, so affine_maps
+    runs once per abelian body, at y = (v, 0), and x = (v, j) moves its c by
+    (eps - 1) j.  Under eps = +1 that is one map per body, at the body's least
+    length; under eps = -1 one per x, in key order.
+    """
+    codec = conj.codec
+    lo, hi, lengths = conj.flat_runs
+    body = codec.split(lo)[0]
+    new = np.append(True, body[1:] != body[:-1])  # a body is one block of the key order
+    first = np.flatnonzero(new)
+    y = codec.coords(codec.join(body[first], codec.offsets[-1])).astype(object)
+    shift, c, lin = affine_maps(conj.spec, apply_automorphism_array(conj.spec, f, y), inverse_array(conj.spec, y))
+    if f.eps == 1:
+        return (shift, c, lin), np.minimum.reduceat(lengths, first)
+    size = hi - lo + 1
+    rows = np.repeat(np.cumsum(new) - 1, size)
+    j = codec.split(run_keys(lo, hi))[1] - codec.offsets[-1]
+    return (shift[rows], c[rows] - 2 * j, lin[rows]), np.repeat(lengths, size)
+
+
 def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii: tuple[int, ...]):
     """Root-pointer labels (see merge_parts) of table's parts under h -> f(x) h x^{-1}, x in ball.
 
     The conjugators, the elements of ball of length <= radii[-1], are merged in
     sphere prefixes: the same label array is yielded once those of length <=
-    radius are merged, for each radius in radii (ascending).  x = y c^k gives
-    f(x) h x^{-1} = f(y) h y^{-1} when eps = +1, so then only one conjugator
-    per abelian body, at the body's least length, is merged.  table is a
-    prefix of ball, so the two share one enumeration and one budget.
+    radius are merged, for each radius in radii (ascending).  Their maps come
+    from _conjugator_maps.  table is a prefix of ball, so the two share one
+    enumeration and one budget.
     """
-    spec = table.spec
-    conj = ball.prefix(radii[-1])
-    x, lengths = conj.coords, conj.lengths
-    if f.eps == 1:
-        # a body is one block of the key order, which starts at its least k, not its least length
-        first = np.unique(conj.codec.split(conj.keys)[0], return_index=True)[1]
-        x, lengths = x[first], np.minimum.reduceat(lengths, first)
+    maps, lengths = _conjugator_maps(f, ball.prefix(radii[-1]))
     label = new_labels(len(table.keys))
     for lo, hi in zip((-1,) + radii, radii):
-        x_part = x[(lo < lengths) & (lengths <= hi)]
-        merge_conjugates(spec, table, label, x_part, apply_automorphism_array(spec, f, x_part))
+        part = (lo < lengths) & (lengths <= hi)
+        merge_conjugates(table.spec, table, label, tuple(x[part] for x in maps))
         yield label
 
 

@@ -128,66 +128,86 @@ def part_lengths(label: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return least[label == np.arange(len(label))]
 
 
-# Images of one block of the (conjugator row x ball) product in merge_conjugates.
+# (map, ball run) image runs per block of merge_conjugates, and element edges per merge_parts pass there.
 ROW_BLOCK = 4096
 
 
-def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, x: np.ndarray, fx: np.ndarray) -> None:
-    """Merge the part of every ball element h with that of fx[i] h x[i]^-1, for every conjugator row i, in place.
+def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, maps) -> None:
+    """Merge the part of every ball element h with that of its image under each map of maps, in place.
 
-    fx = x merges conjugates; fx = f(x) merges f-twisted conjugates.  x and fx
-    are (rows, ncoords) arrays of int64 or exact Python ints.  label indexes
-    table.keys, and an image is found by its position there.
+    maps = (shift, c, lin) holds groups.affine_maps rows in exact ints:
+    affine_maps(spec, x, x^-1) merges conjugates, affine_maps(spec, f(x),
+    x^-1) f-twisted conjugates.  label indexes table.keys.
 
-    Every image is computed as a key, never as a coordinate row.  With
-    u = fx[i] and v = x[i]^-1, the body of u h v is body(h) + shift and its k
-    is c + lin @ h, from groups.affine_maps in exact ints.  With B_p the
-    largest |h_p| over the table, a row that shifts some body coordinate p by
-    more than 2 B_p, or whose c puts every image's |k| past B_k, maps nothing
-    into the table and is dropped.
-
-    The kept rows' images are packed in int64 under a KeyCodec whose body
-    digits cover B_p + max |shift_p|, and whose k digit covers |k| <= B_k + 1:
-    an image's k is clipped to that range, and the two end values, which no
-    table element takes, stand for every k outside the table's.  The packing
-    is then injective on the images that can be in the table, so one
-    searchsorted against the table's keys, repacked under that codec, finds
-    them.  The table is in key order, so the images of one row come out
-    sorted, which keeps the search fast.  Blocks of about ROW_BLOCK images
-    are merged as they are made.  The codec, or a k term of KEY_LIMIT or more,
-    raises SpecError, so no int64 sum can wrap.
+    The merge runs on the table's maximal runs of consecutive keys, each in
+    one body v.  A map moves a run whole, to body v + shift with every k
+    moved by c + lin @ (v, 0) (lin's last entry is 1).  With B_p the largest
+    |h_p| over the table, a map that shifts some body coordinate p by more
+    than 2 B_p, or whose c puts every image's |k| past B_k, is dropped.  Each
+    (map, run) image run is clipped to |k| <= B_k and keyed under a KeyCodec
+    whose body digits cover B_p + max |shift_p|, where keys are injective.
+    Two searchsorted calls against the table's runs under that codec find
+    the runs it meets, and only those overlaps become element edges,
+    positioned by the cumulative run lengths.  Blocks of about ROW_BLOCK
+    image runs are made at a time, and merge_parts takes their edges
+    ROW_BLOCK at a time.  The codec, or a k term of KEY_LIMIT or more, raises
+    SpecError, so no int64 sum can wrap.
     """
-    coords = table.coords
-    bound = np.abs(coords).max(axis=0).astype(object)
-    shift, c, lin = affine_maps(spec, fx, inverse_array(spec, x.astype(object)))
-    # the largest |k - c| of a row's images over the table
-    reach = np.abs(lin) @ bound
-    keep = (np.abs(shift) <= 2 * bound[:-1]).all(axis=1) & (np.abs(c) <= bound[-1] + reach)
+    if table.spec != spec:
+        raise SpecError("ball table was enumerated for another spec")
+    codec = table.codec
+    lo, hi, _ = table.flat_runs
+    # the maximal runs: a run joins the one before it where the keys go on inside one body
+    cut = np.flatnonzero((lo[1:] - hi[:-1] != 1) | (codec.split(lo[1:])[1] == 0)) + 1
+    lo, hi = lo[np.append(0, cut)], hi[np.append(cut, len(hi)) - 1]
+    rows, size = codec.coords(lo), hi - lo
+    v, klo = rows[:, :-1], rows[:, -1]
+    bound = np.append(np.abs(v).max(axis=0), max(-klo.min(), (klo + size).max())).astype(object)
+    abs_shift, abs_c, abs_lin = map(np.abs, maps)
+    # the largest |k - c| of a map's images over the table
+    reach = abs_lin @ bound
+    keep = (abs_shift <= 2 * bound[:-1]).all(axis=1) & (abs_c <= bound[-1] + reach)
     if not keep.any():
         return
-    shift, c, lin, reach = shift[keep], c[keep], lin[keep], reach[keep]
-    offsets = (bound[:-1] + np.abs(shift).max(axis=0)).tolist() + [bound[-1] + 1]
-    wide = KeyCodec(offsets, [2 * b + 1 for b in offsets], "conjugate images of this ball")
     # every int64 term of an image's k: c + lin h and its partial sums, and lin itself where B_p = 0
-    k_reach = max(int((np.abs(c) + reach).max()), int(np.abs(lin).max()))
+    k_reach = max(int((abs_c + reach)[keep].max()), int(abs_lin[keep].max()))
     if k_reach >= KEY_LIMIT:
         raise SpecError(f"conjugate images of this ball do not fit 64-bit keys (k terms up to {k_reach})")
-    # the table's keys under the wide codec, then a sentinel; an image's key is h's with k = 0, shifted, plus its k
-    keys = np.append(wide.pack(coords), np.iinfo(np.int64).max)
-    body = wide.pack(coords[:, :-1])
-    base = (wide.pack(shift.astype(np.int64)) - wide.identity)[:, None]
-    c, lin, rows = c.astype(np.int64)[:, None], lin.astype(np.int64), np.arange(len(coords))
-    block = max(1, ROW_BLOCK // len(coords))
-    for lo in range(0, len(c), block):
-        part = slice(lo, lo + block)
-        img = lin[part] @ coords.T
-        img += c[part]
-        np.clip(img, -offsets[-1], offsets[-1], out=img)
-        img += body
-        img += base[part]
-        pos = np.searchsorted(keys, img)
-        hit = keys[pos] == img
-        merge_parts(label, np.broadcast_to(rows, img.shape)[hit], pos[hit])
+    offsets = (bound[:-1] + abs_shift[keep].max(axis=0)).tolist() + [bound[-1]]
+    wide = KeyCodec(offsets, [2 * b + 1 for b in offsets], "conjugate images of this ball")
+    del abs_shift, abs_c, abs_lin, reach  # exact ints, not held through the blocks
+    shift, c, lin = (x[keep].astype(np.int64) for x in maps)
+    top = offsets[-1]
+    body = wide.pack(v)  # each run's body at k = 0, under the wide codec
+    start, end = body + klo, body + klo + size
+    at_table = np.cumsum(size + 1) - size - 1 - start  # each run's positions in table.keys less its keys
+    shift_key = wide.pack(shift) - wide.identity
+    block, edges, held = max(1, ROW_BLOCK // len(lo)), [], 0
+    for first in range(0, len(c), block):
+        part = slice(first, first + block)
+        # the key step of each (map, run) image, its body shift plus its k shift c + lin @ (v, 0); a step of 0 moves
+        # nothing.  The image run is [a, b] clipped to |k| <= B_k, and the preimage of key y is at position y + at.
+        step = lin[part, :-1] @ v.T
+        step += c[part, None]
+        step += shift_key[part, None]
+        moved = body + shift_key[part, None]
+        a = np.maximum(start + step, moved - top)
+        b = np.minimum(end + step, moved + top)
+        hit = np.flatnonzero((step != 0) & (a <= b))
+        a, b, at = a.ravel()[hit], b.ravel()[hit], (at_table - step).ravel()[hit]
+        # every (image run, table run) overlap: the table runs from the first that ends at or after a
+        lead = np.searchsorted(end, a)
+        count = np.searchsorted(start, b, side="right") - lead
+        j = np.repeat(np.arange(len(a)), count)
+        t = np.arange(len(j)) - np.repeat(np.cumsum(count) - count - lead, count)
+        low, at_j = np.maximum(a[j], start[t]), at[j]
+        u, gap, span = low + at_j, at_table[t] - at_j, np.minimum(b[j], end[t]) - low
+        u = run_keys(u, u + span)
+        edges.append((u, u + np.repeat(gap, span + 1)))
+        held += len(u)
+        if held >= ROW_BLOCK or first + block >= len(c):
+            merge_parts(label, *map(np.concatenate, zip(*edges)))
+            edges, held = [], 0
 
 
 class ClassLengths(Mapping):
@@ -304,9 +324,9 @@ def conjugacy_growth_oracle(
     if n > ORACLE_MAX_RADIUS:
         raise SpecError(f"oracle guarded at radius {ORACLE_MAX_RADIUS}; asked for {n}")
     table = enumerate_ball(spec, gens, n + 2, budget=budget)
-    steps = np.array(_step_set(spec, gens), dtype=object)
+    steps = np.array(_step_set(spec, gens), dtype=object).reshape(-1, spec.ncoords)
     label = new_labels(len(table.keys))
-    merge_conjugates(spec, table, label, steps, steps)
+    merge_conjugates(spec, table, label, affine_maps(spec, steps, inverse_array(spec, steps)))
     return cumulative_counts(part_lengths(label, table.lengths), n)
 
 

@@ -143,9 +143,13 @@ class KeyCodec:
         return keys // self.strides[p] % self.radices[p] - self.offsets[p]
 
     def coords(self, keys: np.ndarray) -> np.ndarray:
-        """The (len(keys), ncoords) coordinate rows of the keys."""
-        digits = keys[:, None] // np.array(self.strides, dtype=np.int64) % np.array(self.radices, dtype=np.int64)
-        return digits - np.array(self.offsets, dtype=np.int64)
+        """The (len(keys), ncoords) coordinate rows of the keys, a column at a time: // by a scalar is fast."""
+        digits = np.empty((len(self.radices), len(keys)), dtype=np.int64)
+        for p, radix in reversed(list(enumerate(self.radices))):
+            rest = keys // radix
+            digits[p] = keys - rest * radix
+            keys = rest
+        return (digits - np.array(self.offsets, dtype=np.int64)[:, None]).T
 
 
 class BallCodec(KeyCodec):

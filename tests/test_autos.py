@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilgrowth
 from nilgrowth.autos import (
     Automorphism,
+    _conjugator_maps,
     apply_automorphism,
     apply_automorphism_array,
     automorphism_from_json_dict,
@@ -34,7 +35,7 @@ from nilgrowth.autos import (
 from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact, merge_conjugates, new_labels, part_lengths
 from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
-from nilgrowth.groups import abelianize, named_spec, standard_generators
+from nilgrowth.groups import abelianize, affine_maps, inverse_array, named_spec, standard_generators
 from nilgrowth.intlinalg import (
     hermite_normal_form,
     hnf_reduce,
@@ -45,6 +46,8 @@ from nilgrowth.intlinalg import (
     row_kernel_vector,
 )
 from nilgrowth.words import cumulative_counts, enumerate_ball, standard_generating_set
+
+from test_words import _specs_and_gens
 
 H1 = named_spec("H1")
 HD2 = named_spec("HD2")
@@ -333,6 +336,32 @@ def _on_every_pair(spec, block, kappa=None):
     return make_automorphism(spec, m, kappa)
 
 
+BLOCKS = {"I": ((1, 0), (0, 1)), "-I": ((-1, 0), (0, -1)), "swap": ((0, 1), (1, 0)), "shear": ((1, 1), (0, 1))}
+KAPPA = st.lists(st.integers(-3, 3) | st.integers(-(2**70), 2**70), min_size=5, max_size=5)  # cut to the spec's dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens(), st.sampled_from(sorted(BLOCKS)), KAPPA)
+@example((HD2, standard_generating_set(HD2), 3), "swap", [2**70, -1, 0, 3, 0])
+def test_conjugator_maps_are_read_off_their_bodies(case, block, kappa):
+    # Each body's map, with c moved by (eps - 1) j, is affine_maps(f(x), x^-1) for every conjugator x = (v, j) of it:
+    # under eps = -1 one map per x, in key order; under eps = +1 one per body, at the body's least length.
+    spec, gens, n = case
+    f = _on_every_pair(spec, BLOCKS[block], kappa[: spec.dim])
+    conj = enumerate_ball(spec, gens, n)
+    maps, lengths = _conjugator_maps(f, conj)
+    x = conj.coords.astype(object)
+    exact = affine_maps(spec, apply_automorphism_array(spec, f, x), inverse_array(spec, x))
+    if f.eps == 1:
+        body, rows = np.unique(conj.codec.split(conj.keys)[0], return_inverse=True)
+        assert len(lengths) == len(body)
+        assert lengths.tolist() == [min(conj.lengths[rows == i]) for i in range(len(body))]
+    else:
+        rows = np.arange(len(x))
+        assert lengths.tolist() == conj.lengths.tolist()
+    assert [m[rows].tolist() for m in maps] == [m.tolist() for m in exact]
+
+
 @pytest.mark.parametrize("spec", [H1, HD2], ids=["H1", "HD2"])
 def test_first_pass_is_the_smaller_conjugator_ball(spec):
     # the first pass merges only the conjugators of length <= R: a whole run at R gives the same counts
@@ -535,5 +564,6 @@ def test_eps_plus_one_conjugators_keep_each_body_at_its_least_length(name, kappa
     for r, counts in ((radius, res.first_pass_counts), (radius + 2, res.counts)):
         x = ball.prefix(r).coords
         label = new_labels(len(table.keys))
-        merge_conjugates(spec, table, label, x, apply_automorphism_array(spec, f, x))
+        maps = affine_maps(spec, apply_automorphism_array(spec, f, x), inverse_array(spec, x))
+        merge_conjugates(spec, table, label, maps)
         assert cumulative_counts(part_lengths(label, table.lengths), n) == counts

@@ -40,11 +40,11 @@ from nilgrowth.conjugacy import (
 )
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import l1_gcd_sums
-from nilgrowth.groups import central_element, conjugate, make_group_spec, named_spec
+from nilgrowth.groups import affine_maps, central_element, conjugate, inverse_array, make_group_spec, named_spec
 from nilgrowth.intlinalg import identity_matrix
 from nilgrowth.words import GeneratingSet, central_growth, cumulative_counts, enumerate_ball, standard_generating_set
 
-from test_autos import _on_every_pair
+from test_autos import BLOCKS, _on_every_pair
 from test_words import TOP_OF_KEY_RANGE, _specs_and_gens, _twisted_key
 
 
@@ -269,9 +269,6 @@ def test_label_merge_matches_union_find(size, data):
     assert sorted(part_lengths(label, np.array(lengths))) == least
 
 
-BLOCKS = {"I": ((1, 0), (0, 1)), "-I": ((-1, 0), (0, -1)), "swap": ((0, 1), (1, 0)), "shear": ((1, 1), (0, 1))}
-
-
 @st.composite
 def _merge_cases(draw):
     """(spec, gens, ball radius, table radius, conjugator radius, block name, kappa)."""
@@ -293,6 +290,13 @@ def _merge_cases(draw):
 # with conjugator radius 1 merges it: a and b entries of 12013 make cross terms near 2^27.
 @example((named_spec("H1"), TOP_OF_KEY_RANGE, 3, 1, 1, "swap", (0, 0)))
 @example((named_spec("H1"), TOP_OF_KEY_RANGE, 3, 1, 1, "shear", (2**70, -2)))
+# Under gens a^2, b and a^3 one body holds several runs, and one image run under the swap meets four of the table's.
+@example((named_spec("H1"), GeneratingSet(((2, 0, 0), (0, 1, 0), (3, 0, 0))), 4, 4, 4, "swap", (0, 0)))
+# HD2 at table radius 4: an image run meets two runs of one body.
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4, 4, 3, "swap", (0, 0, 0, 0)))
+# Image runs cut at k = -B_k and at k = B_k that still meet the table at those ends (a table run spans at most
+# 2 B_k + 1 values of k, so no image run is cut at both).
+@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 3, 3, 3, "-I", (1, -2)))
 def test_merge_conjugates_matches_union_find(case):
     # the key-space merge against a union-find over table.entries, built from tuple products
     spec, gens, n, radius, conjugator_radius, block, kappa = case
@@ -303,7 +307,8 @@ def test_merge_conjugates_matches_union_find(case):
     rows = list(map(tuple, x.tolist()))
     images = [apply_automorphism(spec, f, g) for g in rows]
     label = new_labels(len(table.keys))
-    merge_conjugates(spec, table, label, x, np.array(images, dtype=object))
+    maps = affine_maps(spec, np.array(images, dtype=object), inverse_array(spec, x.astype(object)))
+    merge_conjugates(spec, table, label, maps)
     index = {g: i for i, g in enumerate(table.entries)}
     uf = UnionFind()
     for g, fg in zip(rows, images):
