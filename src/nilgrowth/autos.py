@@ -232,17 +232,26 @@ def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000) ->
 
 
 def _conjugator_maps(f: Automorphism, conj: BallTable):
-    """(maps, lengths): the affine maps (see merge_conjugates) of h -> f(x) h x^{-1} for x in conj, and their lengths.
+    """(maps, lengths): the affine maps (see merge_conjugates) of h -> f(x) h x^{-1}, x in conj, and their lengths.
 
-    x = y c^j gives f(x) h x^{-1} = f(y) h y^{-1} c^{(eps - 1) j}, so affine_maps
-    runs once per abelian body, at y = (v, 0), and x = (v, j) moves its c by
-    (eps - 1) j.  Under eps = +1 that is one map per body, at the body's least
-    length; under eps = -1 one per x, in key order.
+    The edges of x^{-1} are those of x reversed and |x^{-1}| = |x|, so one x of
+    each pair {x, x^{-1}} is kept: the one whose key is above the identity's
+    (x > 0 in Mal'cev order).  x = y c^j gives f(x) h x^{-1} = f(y) h y^{-1}
+    c^{(eps - 1) j}, so affine_maps runs once per abelian body, at y = (v, 0),
+    and x = (v, j) moves its c by (eps - 1) j.  Under eps = +1 that is one map
+    per body above the identity's, at the body's least length: body -v's map
+    is body v's reversed, as y^{-1} = (-v, 0) c^q and c^q cancels, and the
+    identity body's map moves nothing.  Under eps = -1 it is one map per x > 0,
+    in key order.
     """
     codec = conj.codec
+    # the least key kept: the identity body's next key under eps = -1, the next body's first under eps = +1
+    least = codec.identity + 1 if f.eps == -1 else codec.join(codec.split(codec.identity)[0] + 1, 0)
     lo, hi, lengths = conj.flat_runs
+    keep = hi >= least
+    lo, hi, lengths = np.maximum(lo[keep], least), hi[keep], lengths[keep]
     body = codec.split(lo)[0]
-    new = np.append(True, body[1:] != body[:-1])  # a body is one block of the key order
+    new = np.append(True, body[1:] != body[:-1])[: len(body)]  # a body is one block of the key order; none may be kept
     first = np.flatnonzero(new)
     y = codec.coords(codec.join(body[first], codec.offsets[-1])).astype(object)
     shift, c, lin = affine_maps(conj.spec, apply_automorphism_array(conj.spec, f, y), inverse_array(conj.spec, y))
@@ -260,8 +269,9 @@ def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii
     The conjugators, the elements of ball of length <= radii[-1], are merged in
     sphere prefixes: the same label array is yielded once those of length <=
     radius are merged, for each radius in radii (ascending).  Their maps come
-    from _conjugator_maps.  table is a prefix of ball, so the two share one
-    enumeration and one budget.
+    from _conjugator_maps, one x of each pair {x, x^{-1}}: the two have one
+    length, so the pair is merged in the same prefix.  table is a prefix of
+    ball, so the two share one enumeration and one budget.
     """
     maps, lengths = _conjugator_maps(f, ball.prefix(radii[-1]))
     label = new_labels(len(table.keys))

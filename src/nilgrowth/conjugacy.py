@@ -317,14 +317,16 @@ def conjugacy_growth_oracle(
 
     Independent of class_key: orbits come from composed conjugation only.  The
     +2 margin lets same-class ball members connect through one-step detours
-    (a single generator conjugation moves word length by at most 2).
+    (a single generator conjugation moves word length by at most 2).  The
+    edges of g^-1 are those of g reversed, so one step of each pair {g, g^-1}
+    is merged: the one above the identity (g > 0 in Mal'cev order).
     """
     if n < 0:
         raise SpecError("radius must be nonnegative")
     if n > ORACLE_MAX_RADIUS:
         raise SpecError(f"oracle guarded at radius {ORACLE_MAX_RADIUS}; asked for {n}")
     table = enumerate_ball(spec, gens, n + 2, budget=budget)
-    steps = np.array(_step_set(spec, gens), dtype=object).reshape(-1, spec.ncoords)
+    steps = np.array([g for g in _step_set(spec, gens) if g > spec.identity()], dtype=object).reshape(-1, spec.ncoords)
     label = new_labels(len(table.keys))
     merge_conjugates(spec, table, label, affine_maps(spec, steps, inverse_array(spec, steps)))
     return cumulative_counts(part_lengths(label, table.lengths), n)

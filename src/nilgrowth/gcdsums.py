@@ -82,12 +82,19 @@ def cube_ball_count(dim: int, radius: int) -> int:
 
 
 def _totients(limit: int, budget: int | None) -> np.ndarray:
-    """phi(0..limit) by a sieve over primes; the limit + 1 cells go through the budget."""
+    """phi(0..limit) by a sieve over the primes, read off a boolean sieve that strikes by the primes up to sqrt(limit).
+
+    The limit + 1 cells go through the budget.
+    """
     check_budget(limit + 1, budget, "cells of the totient sieve")
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 
@@ -260,8 +267,10 @@ def l1_gcd_sums(
 
     direct: one fold over (used radius, gcd) states gives the sum for every
     exact norm; offsets are allowed.  sieve: S(n) - S(n-1) is
-    sum_{e | n} phi(e) * |sphere_l1(n / e)|, from one totient sieve; centred
-    balls only.
+    sum_{e | n} phi(e) * |sphere_l1(n / e)|, from one totient sieve, in exact
+    ints; centred balls only.  The sphere sizes come from C(m, k) for every
+    m by dim hockey-stick cumsums, and the Dirichlet sum by the hyperbola
+    split: 2 sqrt(radius) slice updates, not radius.
     """
     ball = LatticeBallSpec(dim, radius, L1, tuple(offset))
     n = ball.radius
@@ -272,12 +281,22 @@ def l1_gcd_sums(
         raise SpecError(f"unknown method {method!r}")
     if any(ball.offset):
         raise SpecError("sieve engine does not support l1 balls with offsets")
-    phi = _totients(n, budget)
-    balls = [l1_ball_count(dim, k) for k in range(n + 1)]
-    spheres = np.array([0] + [b - a for a, b in zip(balls, balls[1:])], dtype=object)
+    phi = _totients(n, budget).astype(object)
+    # spheres[m] = |sphere_l1(m)| = sum_k 2^k C(dim, k) C(m - 1, k - 1) for m >= 1; column k - 1 holds C(i, k - 1) at
+    # i = m - 1, and C(i, k) = sum_{j < i} C(j, k - 1)
+    spheres = np.zeros(n + 1, dtype=object)
+    column = np.ones(n, dtype=object)
+    for k in range(1, dim + 1):
+        spheres[1:] += (math.comb(dim, k) << k) * column
+        column = np.cumsum(column) - column
+    # steps[m] sums phi(e) |sphere(q)| over e q = m: over every q for e <= root, then over every e > root for q <=
+    # root, as e, q > root have e q > n
+    root = math.isqrt(n)
     steps = np.zeros(n + 1, dtype=object)
-    for e in range(1, n + 1):
-        steps[e::e] += int(phi[e]) * spheres[1 : n // e + 1]
+    for e in range(1, root + 1):
+        steps[e::e] += phi[e] * spheres[1 : n // e + 1]
+    for q in range(1, root + 1):
+        steps[q * (root + 1) :: q] += spheres[q] * phi[root + 1 : n // q + 1]
     return list(accumulate(steps.tolist()))
 
 

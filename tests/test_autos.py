@@ -14,6 +14,7 @@ import nilgrowth
 from nilgrowth.autos import (
     Automorphism,
     _conjugator_maps,
+    _twisted_partition,
     apply_automorphism,
     apply_automorphism_array,
     automorphism_from_json_dict,
@@ -32,7 +33,14 @@ from nilgrowth.autos import (
     twisted_growth_structural,
     verify_automorphism,
 )
-from nilgrowth.conjugacy import class_modulus, conjugacy_growth_exact, merge_conjugates, new_labels, part_lengths
+from nilgrowth.conjugacy import (
+    class_modulus,
+    conjugacy_growth_exact,
+    conjugacy_growth_oracle,
+    merge_conjugates,
+    new_labels,
+    part_lengths,
+)
 from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 from nilgrowth.groups import abelianize, affine_maps, inverse_array, named_spec, standard_generators
@@ -45,7 +53,7 @@ from nilgrowth.intlinalg import (
     rank,
     row_kernel_vector,
 )
-from nilgrowth.words import cumulative_counts, enumerate_ball, standard_generating_set
+from nilgrowth.words import GeneratingSet, _step_set, cumulative_counts, enumerate_ball, standard_generating_set
 
 from test_words import _specs_and_gens
 
@@ -340,26 +348,83 @@ BLOCKS = {"I": ((1, 0), (0, 1)), "-I": ((-1, 0), (0, -1)), "swap": ((0, 1), (1, 
 KAPPA = st.lists(st.integers(-3, 3) | st.integers(-(2**70), 2**70), min_size=5, max_size=5)  # cut to the spec's dim
 
 
+def _map_rows(maps):
+    """Each (shift, c, lin) map as one tuple of exact ints."""
+    shift, c, lin = (m.tolist() for m in maps)
+    return [(*s, k, *row) for s, k, row in zip(shift, c, lin)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_specs_and_gens(), st.sampled_from(sorted(BLOCKS)), KAPPA)
 @example((HD2, standard_generating_set(HD2), 3), "swap", [2**70, -1, 0, 3, 0])
+# c = [a, b] has length 4: the identity body holds c^-1, 1 and c, of which c alone is kept under eps = -1.
+@example((H1, GENS1, 4), "swap", [0, 0, 0, 0, 0])
+@example((H1, GENS1, 4), "shear", [1, -2, 0, 0, 0])
 def test_conjugator_maps_are_read_off_their_bodies(case, block, kappa):
-    # Each body's map, with c moved by (eps - 1) j, is affine_maps(f(x), x^-1) for every conjugator x = (v, j) of it:
-    # under eps = -1 one map per x, in key order; under eps = +1 one per body, at the body's least length.
+    # The kept maps are affine_maps(f(x), x^-1) for the x above the identity, in key order, which hold one of each
+    # pair {x, x^-1} of the other conjugators.  Under eps = -1 one map per such x, at its length; under eps = +1 one
+    # per body v > 0 (every x = (v, j) has the map of (v, 0)), at the body's least length.
     spec, gens, n = case
     f = _on_every_pair(spec, BLOCKS[block], kappa[: spec.dim])
     conj = enumerate_ball(spec, gens, n)
     maps, lengths = _conjugator_maps(f, conj)
     x = conj.coords.astype(object)
-    exact = affine_maps(spec, apply_automorphism_array(spec, f, x), inverse_array(spec, x))
+    exact = _map_rows(affine_maps(spec, apply_automorphism_array(spec, f, x), inverse_array(spec, x)))
+    e = spec.identity()
+    kept = [g > e for g in conj.entries]
+    positive = {g for g, keep in zip(conj.entries, kept) if keep}
+    inverses = set(map(spec.inv, positive))
+    assert positive.isdisjoint(inverses) and positive | inverses == set(conj.entries) - {e}
     if f.eps == 1:
-        body, rows = np.unique(conj.codec.split(conj.keys)[0], return_inverse=True)
-        assert len(lengths) == len(body)
-        assert lengths.tolist() == [min(conj.lengths[rows == i]) for i in range(len(body))]
+        body = [g[:-1] for g in conj.entries]
+        least = {}
+        for v, length in zip(body, conj.lengths.tolist()):
+            least[v] = min(least.get(v, length), length)
+        rows = [i for i, v in enumerate(body) if v > e[:-1] and v != body[i - 1]]  # the first x of each body v > 0
+        assert lengths.tolist() == [least[body[i]] for i in rows]
     else:
-        rows = np.arange(len(x))
-        assert lengths.tolist() == conj.lengths.tolist()
-    assert [m[rows].tolist() for m in maps] == [m.tolist() for m in exact]
+        rows = np.flatnonzero(kept)
+        assert lengths.tolist() == conj.lengths[rows].tolist()
+    assert _map_rows(maps) == [exact[i] for i in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens(), st.sampled_from(sorted(BLOCKS)), KAPPA)
+@example((HD2, standard_generating_set(HD2), 4), "swap", [2**70, -1, 0, 3, 0])
+# Steps listed with their inverses: the step set holds both, and one of each is merged.
+@example((H1, GeneratingSet(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 1))), 3), "shear", [0, 0, 0, 0, 0])
+# A central generator: c^j has length |j|, and its pair {c^j, c^-j} is one body under eps = +1.
+@example((H1, GeneratingSet(((1, 0, 0), (0, 1, 0), (0, 0, 1))), 4), "I", [2, -3, 0, 0, 0])
+@example((H1, GeneratingSet(((1, 0, 0), (0, 1, 0), (0, 0, 1))), 4), "swap", [2, -3, 0, 0, 0])
+# c = [a, b] has length 4: the second pass's conjugators hold c^j, merged under eps = -1 by h -> h c^-2j.
+@example((H1, GENS1, 4), "swap", [0, 0, 0, 0, 0])
+@example((H1, GENS1, 4), "-I", [1, 1, 0, 0, 0])
+def test_halved_maps_merge_as_every_conjugator(case, block, kappa):
+    # One of each pair {x, x^-1} gives the labels of merging every conjugator: the oracle's counts over its step set
+    # and both passes of the twisted partition, conjugators up to length n - 2 and n over the (n - 2)-ball.
+    spec, gens, n = case
+    f = _on_every_pair(spec, BLOCKS[block], kappa[: spec.dim])
+    ball = enumerate_ball(spec, gens, max(n, 2))
+    m = max(n - 2, 0)
+    table = ball.prefix(m)
+    label = new_labels(len(ball.keys))
+    steps = np.array(_step_set(spec, gens), dtype=object).reshape(-1, spec.ncoords)
+    merge_conjugates(spec, ball, label, affine_maps(spec, steps, inverse_array(spec, steps)))
+    assert conjugacy_growth_oracle(spec, gens, m) == cumulative_counts(part_lengths(label, ball.lengths), m)
+    radii = (m, n)
+    try:
+        halved = [label.copy() for label in _twisted_partition(f, ball, table, radii)]
+    except SpecError:
+        halved = [None, None]  # every conjugator's maps hold the halved ones, so their merges refuse too
+    for r, got in zip(radii, halved):
+        x = ball.prefix(r).coords.astype(object)
+        label = new_labels(len(table.keys))
+        maps = affine_maps(spec, apply_automorphism_array(spec, f, x), inverse_array(spec, x))
+        try:
+            merge_conjugates(spec, table, label, maps)
+        except SpecError:
+            continue  # the halved maps may fit 64-bit keys where every conjugator's do not
+        assert got is not None and got.tolist() == label.tolist()
 
 
 @pytest.mark.parametrize("spec", [H1, HD2], ids=["H1", "HD2"])

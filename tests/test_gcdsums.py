@@ -5,13 +5,14 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilgrowth.conjugacy import conjugacy_growth_bounds
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import (
     LatticeBallSpec,
+    _totients,
     ball_volume_constant,
     cube_ball_count,
     expected_gcd,
@@ -93,13 +94,20 @@ def _offsets(dim):
     return st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).map(tuple)
 
 
+# radii up to 30, and radii next to a perfect square, where the l1 sieve's Dirichlet sum splits at sqrt(n)
+RADII = st.integers(0, 30) | st.integers(1, 6).flatmap(lambda k: st.sampled_from((k * k - 1, k * k, k * k + 1)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(0, 30), _offsets(dim))))
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(st.just(dim), RADII, _offsets(dim))))
+@example((2, 16, (0, 0)))
+@example((6, 37, (0, 0, 0, 0, 0, 0)))
 def test_direct_equals_sieve_property(case):
+    # the direct folds cost their histograms, not their points: a budget past the 6-cube's 75^6 points lets them run
     dim, radius, offset = case
     cube = LatticeBallSpec(dim, radius, "cube", offset)
-    assert gcd_sum(cube, method="direct") == gcd_sum(cube, method="sieve")
-    assert l1_gcd_sums(dim, radius, method="direct") == l1_gcd_sums(dim, radius, method="sieve")
+    assert gcd_sum(cube, method="direct", budget=10**12) == gcd_sum(cube, method="sieve")
+    assert l1_gcd_sums(dim, radius, method="direct", budget=10**12) == l1_gcd_sums(dim, radius, method="sieve")
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,6 +156,12 @@ def test_gcd_sum_budget():
     ):
         with pytest.raises(SpecError, match="2\\^62"):
             call()
+
+
+def test_totients_match_the_definition():
+    phi = [sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(301)]  # phi(0) = 0
+    for limit in range(301):
+        assert _totients(limit, None).tolist() == phi[: limit + 1]
 
 
 def test_sieve_budget():
