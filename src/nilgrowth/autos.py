@@ -22,6 +22,7 @@ from .groups import (
     affine_maps,
     broken_relators,
     check_element,
+    exact_dtype,
     exact_int,
     inverse_array,
     multiply_array,
@@ -29,6 +30,7 @@ from .groups import (
     power,
     power_array,
     standard_generators,
+    top_entry,
 )
 from .intlinalg import (
     Matrix,
@@ -123,13 +125,16 @@ def apply_automorphism(spec: GroupSpec, f: Automorphism, g: Element) -> Element:
 def apply_automorphism_array(spec: GroupSpec, f: Automorphism, g: np.ndarray) -> np.ndarray:
     """Row-wise f(g) over (..., ncoords) coordinate arrays; the normal-form product of apply_automorphism.
 
-    The image rows are exact Python ints (an object array) whatever the dtype of g.
+    The image rows are int64 or exact Python ints (an object array), as the
+    array law picks from the sizes of f's images and g's entries: exact either way.
     """
     images = np.array(f.images, dtype=object)
     acc = power_array(spec, images[0], g[..., 0])
     for p in range(1, spec.dim):
         acc = multiply_array(spec, acc, power_array(spec, images[p], g[..., p]))
-    acc[..., -1] += f.eps * g[..., -1]
+    dtype = exact_dtype(top_entry(acc) + top_entry(g[..., -1]))
+    acc = acc.astype(dtype, copy=False)
+    acc[..., -1] += f.eps * g[..., -1].astype(dtype, copy=False)
     return acc
 
 
@@ -202,13 +207,14 @@ class VerifyReport:
 def verify_automorphism(spec: GroupSpec, f: Automorphism, trials: int = 1000) -> VerifyReport:
     """Relators [f(x_p), f(x_q)] = c^{eps Omega_pq} (see broken_relators), homomorphism fuzz, inverse round-trip."""
     # trial t draws g = pairs[t, 0] and h = pairs[t, 1] with coordinates in -9..9 (uint16 % 19: each value within
-    # 2e-5 of 1/19), FUZZ_BLOCK trials at a time so the exact-int temporaries stay small; numpy.random is left out
-    # because numpy does not import it, and its first import costs ~6 MB of RSS
+    # 2e-5 of 1/19), FUZZ_BLOCK trials at a time so the temporaries stay small; the draws are int64, and the array
+    # law turns to exact ints only where f's images make it need them.  numpy.random is left out because numpy does
+    # not import it, and its first import costs ~6 MB of RSS
     rng, hom_ok = random.Random(0), True
     for start in range(0, trials, FUZZ_BLOCK):
         size = 2 * min(FUZZ_BLOCK, trials - start) * spec.ncoords
         draws = np.frombuffer(rng.randbytes(2 * size), dtype="<u2") % 19
-        pairs = (draws.astype(object) - 9).reshape(-1, 2, spec.ncoords)
+        pairs = (draws.astype(np.int64) - 9).reshape(-1, 2, spec.ncoords)
         g, h = pairs[:, 0], pairs[:, 1]
         lhs = apply_automorphism_array(spec, f, multiply_array(spec, g, h))
         rhs = multiply_array(spec, apply_automorphism_array(spec, f, g), apply_automorphism_array(spec, f, h))
@@ -253,14 +259,16 @@ def _conjugator_maps(f: Automorphism, conj: BallTable):
     body = codec.split(lo)[0]
     new = np.append(True, body[1:] != body[:-1])[: len(body)]  # a body is one block of the key order; none may be kept
     first = np.flatnonzero(new)
-    y = codec.coords(codec.join(body[first], codec.offsets[-1])).astype(object)
+    y = codec.coords(codec.join(body[first], codec.offsets[-1]))
     shift, c, lin = affine_maps(conj.spec, apply_automorphism_array(conj.spec, f, y), inverse_array(conj.spec, y))
     if f.eps == 1:
         return (shift, c, lin), np.minimum.reduceat(lengths, first)
     size = hi - lo + 1
     rows = np.repeat(np.cumsum(new) - 1, size)
     j = codec.split(run_keys(lo, hi))[1] - codec.offsets[-1]
-    return (shift[rows], c[rows] - 2 * j, lin[rows]), np.repeat(lengths, size)
+    dtype = exact_dtype(top_entry(c) + 2 * top_entry(j))
+    c = c[rows].astype(dtype, copy=False) - 2 * j.astype(dtype, copy=False)
+    return (shift[rows], c, lin[rows]), np.repeat(lengths, size)
 
 
 def _twisted_partition(f: Automorphism, ball: BallTable, table: BallTable, radii: tuple[int, ...]):

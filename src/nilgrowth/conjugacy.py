@@ -135,9 +135,10 @@ ROW_BLOCK = 4096
 def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, maps) -> None:
     """Merge the part of every ball element h with that of its image under each map of maps, in place.
 
-    maps = (shift, c, lin) holds groups.affine_maps rows in exact ints:
-    affine_maps(spec, x, x^-1) merges conjugates, affine_maps(spec, f(x),
-    x^-1) f-twisted conjugates.  label indexes table.keys.
+    maps = (shift, c, lin) holds groups.affine_maps rows, int64 or object
+    arrays, exact either way: affine_maps(spec, x, x^-1) merges conjugates,
+    affine_maps(spec, f(x), x^-1) f-twisted conjugates.  label indexes
+    table.keys.
 
     The merge runs on the table's maximal runs of consecutive keys, each in
     one body v.  A map moves a run whole, to body v + shift with every k
@@ -162,6 +163,7 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, maps)
     lo, hi = lo[np.append(0, cut)], hi[np.append(cut, len(hi)) - 1]
     rows, size = codec.coords(lo), hi - lo
     v, klo = rows[:, :-1], rows[:, -1]
+    # an object array, so the filter below is in exact ints whatever the maps' dtype
     bound = np.append(np.abs(v).max(axis=0), max(-klo.min(), (klo + size).max())).astype(object)
     abs_shift, abs_c, abs_lin = map(np.abs, maps)
     # the largest |k - c| of a map's images over the table
@@ -175,7 +177,7 @@ def merge_conjugates(spec: GroupSpec, table: BallTable, label: np.ndarray, maps)
         raise SpecError(f"conjugate images of this ball do not fit 64-bit keys (k terms up to {k_reach})")
     offsets = (bound[:-1] + abs_shift[keep].max(axis=0)).tolist() + [bound[-1]]
     wide = KeyCodec(offsets, [2 * b + 1 for b in offsets], "conjugate images of this ball")
-    del abs_shift, abs_c, abs_lin, reach  # exact ints, not held through the blocks
+    del abs_shift, abs_c, abs_lin, reach  # not held through the blocks
     shift, c, lin = (x[keep].astype(np.int64) for x in maps)
     top = offsets[-1]
     body = wide.pack(v)  # each run's body at k = 0, under the wide codec

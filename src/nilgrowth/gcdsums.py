@@ -214,7 +214,6 @@ def _direct_sums(ranges: list[tuple[int, int, int]], combine, points: int, budge
     """
     if points >= POINT_LIMIT:
         raise SpecError(f"ball has {points} points; the direct engine counts in int64 below 2^62")
-    check_budget(points, budget, "points of the gcd ball")
     costed = combine is not None
     combine = combine or np.add
     rows = 1 + max(max(-lo, hi) for lo, hi, _ in ranges) if costed else 1

@@ -233,8 +233,47 @@ def power(spec: GroupSpec, g: Element, m: int) -> Element:
     return tuple(out)
 
 
+# The array law runs in int64 when a bound on its result's entries, and on every partial sum on the way, is below
+# this; otherwise in object arrays of exact Python ints.  Bounds are in exact ints, so none can wrap.  The weights
+# enter the formulas as int64 scalars, so their sum W is a term of every bound too.
+INT64_LIMIT = 2**62
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+
+
+def top_entry(a: np.ndarray) -> int:
+    """The largest |entry| of an integer or object array, as an exact int; 0 for an empty array.
+
+    Up to a few dozen entries a list beats numpy's reductions, whose call
+    overhead dominates there.  An int64 array takes one abs and one max: read
+    as uint64, |x| is exact for every int64 x, -2^63 included.
+    """
+    if a.size <= 32:
+        entries = a.ravel().tolist() or [0]
+        entries.sort()  # one call for both ends: cheaper than max and min on so few
+        return max(entries[-1], -entries[0])
+    if a.dtype == _INT64:
+        return int(np.maximum.reduce(np.abs(a).view(np.uint64), axis=None))
+    return max(int(a.max()), -int(a.min()))
+
+
+def exact_dtype(bound: int) -> np.dtype:
+    """int64 when bound < INT64_LIMIT, else object (exact ints).
+
+    Callers cast with astype(dtype, copy=False), which copies no array that has the dtype already.
+    """
+    return _INT64 if bound < INT64_LIMIT else _OBJECT
+
+
 def multiply_array(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Row-wise g h over (..., ncoords) coordinate arrays, broadcast; the formula of multiply."""
+    """Row-wise g h over (..., ncoords) coordinate arrays, broadcast; the formula of multiply.
+
+    With X and Y the largest |entry| of g and h and W the sum of the weights,
+    every entry and partial sum is at most X + Y + W X Y: the product is int64
+    when that bound (plus W) is below INT64_LIMIT, else exact ints.
+    """
+    x, y, wsum = top_entry(g), top_entry(h), sum(spec.weights)
+    dtype = exact_dtype(x + y + wsum + wsum * x * y)
+    g, h = g.astype(dtype, copy=False), h.astype(dtype, copy=False)
     s = spec.s
     out = g + h
     for t, w in enumerate(spec.weights):
@@ -243,7 +282,12 @@ def multiply_array(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def inverse_array(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Row-wise g^-1 over (..., ncoords) coordinate arrays; the formula of inverse."""
+    """Row-wise g^-1 over (..., ncoords) coordinate arrays; the formula of inverse.
+
+    It is int64 when X + W + W X^2 < INT64_LIMIT, else exact ints.
+    """
+    x, wsum = top_entry(g), sum(spec.weights)
+    g = g.astype(exact_dtype(x + wsum + wsum * x * x), copy=False)
     s = spec.s
     out = -g
     for t, w in enumerate(spec.weights):
@@ -251,10 +295,20 @@ def inverse_array(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_array(spec: GroupSpec, g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-wise g^m over (..., ncoords) coordinate arrays and exponent arrays m, broadcast; the formula of power."""
+def power_array(spec: GroupSpec, g: np.ndarray, m) -> np.ndarray:
+    """Row-wise g^m over (..., ncoords) coordinate arrays and exponents m, broadcast; the formula of power.
+
+    With M the largest |exponent|, it is int64 when
+    X + M + M X + W + M (M + 1) (1 + W X^2) < INT64_LIMIT, which bounds
+    m (m - 1) and the c exponent's terms.  An m that is no array is read as
+    exact ints.
+    """
+    if not isinstance(m, np.ndarray):
+        m = np.array(m, dtype=object)
+    x, e, wsum = top_entry(g), top_entry(m), sum(spec.weights)
+    dtype = exact_dtype(x + e + e * x + wsum + e * (e + 1) * (1 + wsum * x * x))
+    g, m = g.astype(dtype, copy=False), m.astype(dtype, copy=False)
     s = spec.s
-    m = np.asarray(m, dtype=g.dtype)
     q = sum(w * g[..., s + 2 * t] * g[..., s + 2 * t + 1] for t, w in enumerate(spec.weights))
     out = m[..., None] * g
     out[..., -1] = m * g[..., -1] - (m * (m - 1) // 2) * q
@@ -262,15 +316,18 @@ def power_array(spec: GroupSpec, g: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def affine_maps(spec: GroupSpec, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(shift, c, lin) of h -> left h right for (..., ncoords) rows left and right, broadcast, as exact-int arrays.
+    """(shift, c, lin) of h -> left h right for (..., ncoords) rows left and right, broadcast.
 
     The body of left h right is body(h) + shift and its k is c + lin @ h, as h
     enters the product once: read off multiply_array at h = 0 and at each unit
-    vector e_p, so lin's last entry is 1.
+    vector e_p, so lin's last entry is 1.  Rows that are no array are read as
+    exact ints.  The maps are int64 or object arrays as multiply_array picks,
+    exact either way: each |lin_p| is 1 or at most W max(X, Y), below the
+    second product's bound, so the int64 difference that gives lin cannot wrap.
     """
-    probes = np.eye(spec.ncoords + 1, spec.ncoords, -1, dtype=np.int64).astype(object)
-    left, right = (np.asarray(rows, dtype=object)[..., None, :] for rows in (left, right))
-    image = multiply_array(spec, multiply_array(spec, left, probes), right)
+    probes = np.eye(spec.ncoords + 1, spec.ncoords, -1, dtype=np.int64)
+    left, right = (rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object) for rows in (left, right))
+    image = multiply_array(spec, multiply_array(spec, left[..., None, :], probes), right[..., None, :])
     shift, c = image[..., 0, :-1], image[..., 0, -1]
     return shift, c, image[..., 1:, -1] - c[..., None]
 

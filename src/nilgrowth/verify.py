@@ -51,6 +51,7 @@ from .groups import (
     named_spec,
     omega_form,
     power,
+    power_array,
     standard_generators,
 )
 from .intlinalg import identity_matrix
@@ -63,7 +64,12 @@ def _rand_elt(rng, spec):
 
 
 def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
-    """Associativity, inverses and powers of the tuple law, then the array law against it row by row."""
+    """Associativity, inverses and powers of the tuple law, then the array law against it row by row.
+
+    The array law runs on the same rows as object and as int64 arrays, so both
+    sides of its dtype guard are checked: int64 rows with large weights move to
+    exact ints, small ones stay on the int64 fast path.
+    """
     rng = random.Random(0)
     e = spec.identity()
     gs, hs = [], []
@@ -77,11 +83,19 @@ def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
             raise StructuralError(f"power law fails at {g}")
         gs.append(g)
         hs.append(h)
-    ga, ha = np.array(gs, dtype=object), np.array(hs, dtype=object)
-    if multiply_array(spec, ga, ha).tolist() != [list(multiply(spec, g, h)) for g, h in zip(gs, hs)]:
-        raise StructuralError("array and tuple products differ")
-    if inverse_array(spec, ga).tolist() != [list(inverse(spec, g)) for g in gs]:
-        raise StructuralError("array and tuple inverses differ")
+    ms = [rng.randint(-6, 6) for _ in gs]
+    products = [list(multiply(spec, g, h)) for g, h in zip(gs, hs)]
+    inverses = [list(inverse(spec, g)) for g in gs]
+    powers = [list(power(spec, g, m)) for g, m in zip(gs, ms)]
+    for dtype in (object, np.int64):
+        ga, ha, ma = (np.array(rows, dtype=dtype) for rows in (gs, hs, ms))
+        rows = np.dtype(dtype).name
+        if multiply_array(spec, ga, ha).tolist() != products:
+            raise StructuralError(f"array and tuple products differ on {rows} rows")
+        if inverse_array(spec, ga).tolist() != inverses:
+            raise StructuralError(f"array and tuple inverses differ on {rows} rows")
+        if power_array(spec, ga, ma).tolist() != powers:
+            raise StructuralError(f"array and tuple powers differ on {rows} rows")
 
 
 def check_relators(spec: GroupSpec) -> None:

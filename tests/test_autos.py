@@ -43,7 +43,7 @@ from nilgrowth.conjugacy import (
 )
 from nilgrowth.errors import BudgetError, SpecError, StructuralError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
-from nilgrowth.groups import abelianize, affine_maps, inverse_array, named_spec, standard_generators
+from nilgrowth.groups import abelianize, affine_maps, inverse_array, make_group_spec, named_spec, standard_generators
 from nilgrowth.intlinalg import (
     hermite_normal_form,
     hnf_reduce,
@@ -55,6 +55,7 @@ from nilgrowth.intlinalg import (
 )
 from nilgrowth.words import GeneratingSet, _step_set, cumulative_counts, enumerate_ball, standard_generating_set
 
+from test_groups import _magnitudes
 from test_words import _specs_and_gens
 
 H1 = named_spec("H1")
@@ -158,14 +159,42 @@ def _matrix(spec, kind):
 )
 def test_apply_array_matches_tuple_law(name, kind, big, data):
     spec = named_spec(name)
-    # int64 rows at either scale: big shifts pass int64, and the images are exact Python ints whatever the input
+    # int64 rows at either scale: big shifts pass int64, and the images are exact Python ints exactly where an entry
+    # reaches 2^62 (no entry of these draws lies within 12 of 2^62, so the bounds are tight here)
     scale = 2**70 if big else 1
     kappa = data.draw(st.lists(st.integers(-5, 5).map(lambda x: x * scale), min_size=spec.dim, max_size=spec.dim))
     f = make_automorphism(spec, _matrix(spec, kind), kappa)
     rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * spec.ncoords), min_size=1, max_size=8))
     got = apply_automorphism_array(spec, f, np.array(rows, dtype=np.int64))
-    assert got.dtype == object
+    assert (got.dtype == object) == any(abs(x) >= 2**62 for row in got.tolist() for x in row)
     assert got.tolist() == [list(apply_automorphism(spec, f, g)) for g in rows]
+
+
+def test_apply_array_adds_eps_k_without_wrapping():
+    # the image of a^(2^31 - 1) has k = 2^62 - 2^31 and fits int64; adding the row's k = 2^62 + 2^31 reaches 2^63
+    f = make_automorphism(H1, ((1, 0), (0, 1)), (2**31, 0))
+    row = (2**31 - 1, 0, 2**62 + 2**31)
+    got = apply_automorphism_array(H1, f, np.array([row], dtype=np.int64))
+    assert got.tolist() == [list(apply_automorphism(H1, f, row))] == [[2**31 - 1, 0, 2**63]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _magnitudes(20).map(lambda d: make_group_spec(0, 2, (max(abs(d), 1),))),
+    st.sampled_from(["identity", "-I", "swap", "shear"]),
+    st.data(),
+)
+def test_apply_array_is_exact_across_the_int64_switch(spec, kind, data):
+    # kappa and row entries of every size up to 2^32 under a weight up to 2^20: images on both sides of 2^62, from
+    # the same rows given as int64 and as object arrays
+    kappa = data.draw(st.lists(_magnitudes(32), min_size=spec.dim, max_size=spec.dim))
+    f = make_automorphism(spec, _matrix(spec, kind), kappa)
+    rows = data.draw(st.lists(st.tuples(*[_magnitudes(32)] * spec.ncoords), min_size=1, max_size=4))
+    want = [list(apply_automorphism(spec, f, g)) for g in rows]
+    for dtype in (np.int64, object):
+        got = apply_automorphism_array(spec, f, np.array(rows, dtype=dtype))
+        assert got.tolist() == want
+        assert got.dtype == object or all(abs(x) < 2**62 for x in got.ravel().tolist())
 
 
 @settings(max_examples=60, deadline=None)

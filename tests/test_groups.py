@@ -421,6 +421,72 @@ def test_affine_maps_match_tuple_products(spec, rows, big, data):
     assert [x.tolist() for x in one] == [x.tolist() for x in affine_maps(spec, [spec.identity()] * rows, right)]
 
 
+def test_int64_rows_past_the_limit_do_not_wrap():
+    # int64 rows whose results pass int64 are computed in exact ints, not wrapped mod 2^64
+    spec = named_spec("H1")
+    g, h = np.array([(0, 2**32, 0)], dtype=np.int64), np.array([(2**32, 0, 0)], dtype=np.int64)
+    assert multiply_array(spec, g, h).tolist() == [list(multiply(spec, (0, 2**32, 0), (2**32, 0, 0)))]
+    assert multiply(spec, (0, 2**32, 0), (2**32, 0, 0))[-1] == -(2**64)
+    x = (2**32, 2**32, 0)
+    assert inverse_array(spec, np.array([x], dtype=np.int64)).tolist() == [list(inverse(spec, x))]
+    assert inverse(spec, x)[-1] == -(2**64)
+    # m = 2^12 gives k = -(2^63 - 2^51), inside int64 but past 2^62; m = -2^12 gives -(2^63 + 2^51), past int64
+    x = (2**20, 2**20, 0)
+    for m in (2**12, -(2**12)):
+        assert power_array(spec, np.array([x], dtype=np.int64), np.array([m])).tolist() == [list(power(spec, x, m))]
+        assert power_array(spec, np.array(x, dtype=np.int64), m).dtype == object
+
+
+def _of_size(b):
+    """Integers of either sign between 2^(b-1) and 2^b (0 or 1 for b = 0), so their size is not left to shrinking."""
+    return st.integers(2**b // 2, 2**b).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def _magnitudes(bits):
+    """Integers of every size up to 2^bits: a bit length first, then a value of that size."""
+    return st.integers(0, bits).flatmap(_of_size)
+
+
+@st.composite
+def _wide_cases(draw):
+    """H_D with D = (d,), d up to 2^20, and 1-4 rows g, h and exponents m whose results land on both sides of 2^62.
+
+    The entries of a case share one size, up to 2^32, and its exponents one
+    size, up to 2^12, so a product of two entries is near its bound's X Y.
+    """
+    spec = make_group_spec(0, 2, (draw(_magnitudes(20).map(lambda d: max(abs(d), 1))),))
+    rows = draw(st.integers(1, 4))
+    entry, exponent = _of_size(draw(st.integers(0, 32))), _of_size(draw(st.integers(0, 12)))
+    g, h = (draw(st.lists(st.tuples(*[entry] * spec.ncoords), min_size=rows, max_size=rows)) for _ in range(2))
+    return spec, g, h, draw(st.lists(exponent, min_size=rows, max_size=rows))
+
+
+def _exact_on_both_sides(results, want):
+    """Results from int64 and from object inputs: equal lists, equal to want, and int64 only below 2^62."""
+    for out in results:
+        assert out.tolist() == want
+        assert out.dtype == object or all(abs(x) < 2**62 for x in out.ravel().tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_cases())
+def test_array_law_is_exact_across_the_int64_switch(case):
+    spec, g, h, m = case
+    inputs = [tuple(np.array(rows, dtype=dtype) for rows in (g, h, m)) for dtype in (np.int64, object)]
+    products = [multiply(spec, x, y) for x, y in zip(g, h)]
+    _exact_on_both_sides([multiply_array(spec, ga, ha) for ga, ha, _ in inputs], list(map(list, products)))
+    _exact_on_both_sides([inverse_array(spec, ga) for ga, _, _ in inputs], [list(inverse(spec, x)) for x in g])
+    powers = [list(power(spec, x, e)) for x, e in zip(g, m)]
+    _exact_on_both_sides([power_array(spec, ga, ma) for ga, _, ma in inputs], powers)
+    # affine_maps: shift and c of g h, and lin_p = k(g e_p h) - c, per row
+    maps = [affine_maps(spec, ga, ha) for ga, ha, _ in inputs]
+    units = standard_generators(spec) + (central_element(spec, 1),)
+    _exact_on_both_sides([shift for shift, _, _ in maps], [list(p[:-1]) for p in products])
+    _exact_on_both_sides([c for _, c, _ in maps], [p[-1] for p in products])
+    lins = [[multiply(spec, multiply(spec, x, e), y)[-1] - p[-1] for e in units] for x, y, p in zip(g, h, products)]
+    _exact_on_both_sides([lin for _, _, lin in maps], lins)
+
+
 def test_standard_generators():
     spec = make_group_spec(1, 2, (2,))
     gens = standard_generators(spec)
@@ -500,7 +566,7 @@ def test_group_law_check_compares_array_and_tuple_routes(monkeypatch):
     import nilgrowth.verify as verify
     from nilgrowth.errors import StructuralError
 
-    # weights past int64 put the sampled rows on object arrays of exact ints
+    # weights past int64 move the sampled rows, int64 ones included, to object arrays of exact ints
     for spec in (named_spec("ZxH1"), make_group_spec(1, 2, (2**70,))):
         verify.check_group_law(spec, trials=40)
 
@@ -512,11 +578,23 @@ def test_group_law_check_compares_array_and_tuple_routes(monkeypatch):
 
         return broken
 
+    def off_by_one_on_int64(law):
+        # broken on int64 input rows only; object rows are cast down to int64 too, and must still pass
+        def broken(spec, *rows):
+            out = law(spec, *rows)
+            if rows[0].dtype == np.int64:
+                out[-1, -1] += 1
+            return out
+
+        return broken
+
     for name, law, message in (
         ("multiply_array", multiply_array, "array and tuple products differ"),
         ("inverse_array", inverse_array, "array and tuple inverses differ"),
+        ("power_array", power_array, "array and tuple powers differ"),
     ):
-        with monkeypatch.context() as patch:
-            patch.setattr(verify, name, off_by_one(law))
-            with pytest.raises(StructuralError, match=message):
-                verify.check_group_law(named_spec("H2"), trials=40)
+        for breaks, rows in ((off_by_one, "object"), (off_by_one_on_int64, "int64")):
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, name, breaks(law))
+                with pytest.raises(StructuralError, match=f"{message} on {rows} rows"):
+                    verify.check_group_law(named_spec("H2"), trials=40)
