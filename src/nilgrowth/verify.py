@@ -66,9 +66,10 @@ def _rand_elt(rng, spec):
 def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
     """Associativity, inverses and powers of the tuple law, then the array law against it row by row.
 
-    The array law runs on the same rows as object and as int64 arrays, so both
-    sides of its dtype guard are checked: int64 rows with large weights move to
-    exact ints, small ones stay on the int64 fast path.
+    The array law runs twice on int64 rows, so both sides of its dtype guard
+    are checked: on the sampled rows, which stay in int64 unless the weights
+    are large, and on the same rows scaled by 2^31, whose products, inverses
+    and powers pass 2^62 on any spec, so the guard moves them to exact ints.
     """
     rng = random.Random(0)
     e = spec.identity()
@@ -84,18 +85,15 @@ def check_group_law(spec: GroupSpec, trials: int = 300) -> None:
         gs.append(g)
         hs.append(h)
     ms = [rng.randint(-6, 6) for _ in gs]
-    products = [list(multiply(spec, g, h)) for g, h in zip(gs, hs)]
-    inverses = [list(inverse(spec, g)) for g in gs]
-    powers = [list(power(spec, g, m)) for g, m in zip(gs, ms)]
-    for dtype in (object, np.int64):
-        ga, ha, ma = (np.array(rows, dtype=dtype) for rows in (gs, hs, ms))
-        rows = np.dtype(dtype).name
-        if multiply_array(spec, ga, ha).tolist() != products:
-            raise StructuralError(f"array and tuple products differ on {rows} rows")
-        if inverse_array(spec, ga).tolist() != inverses:
-            raise StructuralError(f"array and tuple inverses differ on {rows} rows")
-        if power_array(spec, ga, ma).tolist() != powers:
-            raise StructuralError(f"array and tuple powers differ on {rows} rows")
+    for scale, rows in ((1, "int64 rows"), (2**31, "rows scaled by 2^31")):
+        xs, ys = ([tuple(scale * c for c in x) for x in elts] for elts in (gs, hs))
+        xa, ya, ma = (np.array(elts, dtype=np.int64) for elts in (xs, ys, ms))
+        if multiply_array(spec, xa, ya).tolist() != [list(multiply(spec, x, y)) for x, y in zip(xs, ys)]:
+            raise StructuralError(f"array and tuple products differ on {rows}")
+        if inverse_array(spec, xa).tolist() != [list(inverse(spec, x)) for x in xs]:
+            raise StructuralError(f"array and tuple inverses differ on {rows}")
+        if power_array(spec, xa, ma).tolist() != [list(power(spec, x, m)) for x, m in zip(xs, ms)]:
+            raise StructuralError(f"array and tuple powers differ on {rows}")
 
 
 def check_relators(spec: GroupSpec) -> None:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from nilgrowth.conjugacy import class_key, class_modulus
 from nilgrowth.errors import SpecError
 from nilgrowth.groups import (
+    NAMED_SPECS,
+    SMALL_ARRAY,
     abelianize,
     affine_maps,
     canonical_lift,
@@ -437,9 +439,9 @@ def test_int64_rows_past_the_limit_do_not_wrap():
         assert power_array(spec, np.array(x, dtype=np.int64), m).dtype == object
 
 
-def _of_size(b):
-    """Integers of either sign between 2^(b-1) and 2^b (0 or 1 for b = 0), so their size is not left to shrinking."""
-    return st.integers(2**b // 2, 2**b).flatmap(lambda v: st.sampled_from([v, -v]))
+def _of_size(b, signs=(1, -1)):
+    """Integers of the given signs between 2^(b-1) and 2^b in size (0 or 1 for b = 0), a size not left to shrinking."""
+    return st.integers(2**b // 2, 2**b).flatmap(lambda v: st.sampled_from([sign * v for sign in signs]))
 
 
 def _magnitudes(bits):
@@ -453,12 +455,18 @@ def _wide_cases(draw):
 
     The entries of a case share one size, up to 2^32, and its exponents one
     size, up to 2^12, so a product of two entries is near its bound's X Y.
+    Each takes either sign or one sign only, so a largest |entry| read off
+    the wrong end is too small.  Some cases tile their rows SMALL_ARRAY + 1
+    times, so that top_entry reads g, h and m with numpy's max and min, not
+    as a sorted list.
     """
     spec = make_group_spec(0, 2, (draw(_magnitudes(20).map(lambda d: max(abs(d), 1))),))
-    rows = draw(st.integers(1, 4))
-    entry, exponent = _of_size(draw(st.integers(0, 32))), _of_size(draw(st.integers(0, 12)))
+    rows, copies = draw(st.integers(1, 4)), draw(st.sampled_from((1, SMALL_ARRAY + 1)))
+    signs = st.sampled_from(((1, -1), (1,), (-1,)))
+    entry, exponent = (_of_size(draw(st.integers(0, bits)), draw(signs)) for bits in (32, 12))
     g, h = (draw(st.lists(st.tuples(*[entry] * spec.ncoords), min_size=rows, max_size=rows)) for _ in range(2))
-    return spec, g, h, draw(st.lists(exponent, min_size=rows, max_size=rows))
+    m = draw(st.lists(exponent, min_size=rows, max_size=rows))
+    return spec, g * copies, h * copies, m * copies
 
 
 def _exact_on_both_sides(results, want):
@@ -570,19 +578,11 @@ def test_group_law_check_compares_array_and_tuple_routes(monkeypatch):
     for spec in (named_spec("ZxH1"), make_group_spec(1, 2, (2**70,))):
         verify.check_group_law(spec, trials=40)
 
-    def off_by_one(law):
+    def off_by_one_on(dtype, law):
+        # broken where the guard picked dtype only, so each pass must reach its own side of the guard
         def broken(spec, *rows):
             out = law(spec, *rows)
-            out[-1, -1] += 1
-            return out
-
-        return broken
-
-    def off_by_one_on_int64(law):
-        # broken on int64 input rows only; object rows are cast down to int64 too, and must still pass
-        def broken(spec, *rows):
-            out = law(spec, *rows)
-            if rows[0].dtype == np.int64:
+            if out.dtype == dtype:
                 out[-1, -1] += 1
             return out
 
@@ -593,8 +593,9 @@ def test_group_law_check_compares_array_and_tuple_routes(monkeypatch):
         ("inverse_array", inverse_array, "array and tuple inverses differ"),
         ("power_array", power_array, "array and tuple powers differ"),
     ):
-        for breaks, rows in ((off_by_one, "object"), (off_by_one_on_int64, "int64")):
-            with monkeypatch.context() as patch:
-                patch.setattr(verify, name, breaks(law))
-                with pytest.raises(StructuralError, match=f"{message} on {rows} rows"):
-                    verify.check_group_law(named_spec("H2"), trials=40)
+        for dtype, rows in ((np.int64, "int64 rows"), (object, r"rows scaled by 2\^31")):
+            for spec_name in NAMED_SPECS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, name, off_by_one_on(dtype, law))
+                    with pytest.raises(StructuralError, match=f"{message} on {rows}"):
+                        verify.check_group_law(named_spec(spec_name), trials=40)
