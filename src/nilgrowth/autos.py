@@ -18,7 +18,6 @@ from .errors import SpecError, StructuralError
 from .groups import (
     Element,
     GroupSpec,
-    Vector,
     affine_maps,
     broken_relators,
     check_element,
@@ -29,6 +28,7 @@ from .groups import (
     omega_form,
     power,
     power_array,
+    refuse_unknown_keys,
     standard_generators,
     top_entry,
 )
@@ -38,10 +38,7 @@ from .intlinalg import (
     mat_inverse,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_transpose,
-    rank,
-    row_kernel_vector,
 )
 from .conjugacy import class_lengths, merge_conjugates, merge_images, new_labels, part_lengths
 from .words import BallTable, GeneratingSet, cumulative_counts, enumerate_ball, run_keys
@@ -104,6 +101,7 @@ def swap_automorphism(spec: GroupSpec) -> Automorphism:
 
 
 def automorphism_from_json_dict(spec: GroupSpec, data: dict) -> Automorphism:
+    refuse_unknown_keys(data, ("M", "kappa"), "automorphism")
     try:
         return make_automorphism(spec, data["M"], data.get("kappa"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -136,15 +134,6 @@ def apply_automorphism_array(spec: GroupSpec, f: Automorphism, g: np.ndarray) ->
     acc = acc.astype(dtype, copy=False)
     acc[..., -1] += f.eps * g[..., -1].astype(dtype, copy=False)
     return acc
-
-
-def gamma_sample(spec: GroupSpec, f: Automorphism, v: Vector) -> int:
-    """The quadratic correction gamma(v): c-exponent of f(lift(v)) minus kappa terms.
-
-    Defined by f(lift(v)) = lift(vM) c^{gamma(v) + <kappa, v>}.
-    """
-    img = apply_automorphism(spec, f, tuple(v) + (0,))
-    return img[-1] - sum(k * x for k, x in zip(f.kappa, v))
 
 
 def compose_automorphisms(spec: GroupSpec, f: Automorphism, g: Automorphism) -> Automorphism:
@@ -347,29 +336,6 @@ def twisted_growth_structural(
     if f.m != identity_matrix(spec.dim) or f.eps != 1:
         raise SpecError("structural twisted counts need M = I and eps = +1")
     return class_lengths(spec, enumerate_ball(spec, gens, n, budget=budget), f.kappa).counts(n)
-
-
-@dataclass
-class CaseReport:
-    label: str
-    eps: int
-    rank_m_minus_i: int
-    kernel_vector: tuple[int, ...] | None
-
-
-def rank_case_classifier(spec: GroupSpec, f: Automorphism) -> CaseReport:
-    """Case split of the finite-extension analysis: eps and rank(M - I)."""
-    m_minus_i = mat_sub(f.m, identity_matrix(spec.dim))
-    rk = rank(m_minus_i)
-    if f.eps == 1 and rk == 0 and all(k == 0 for k in f.kappa):
-        return CaseReport("identity", f.eps, rk, None)
-    if f.eps == -1:
-        return CaseReport("eps_minus_one", f.eps, rk, None)
-    if rk >= 2:
-        return CaseReport("rank_ge_2", f.eps, rk, None)
-    if rk == 1:
-        return CaseReport("rank_1", f.eps, rk, row_kernel_vector(m_minus_i))
-    return CaseReport("rank_0", f.eps, rk, None)
 
 
 def extension_conjugacy_growth(

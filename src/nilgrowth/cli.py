@@ -39,7 +39,7 @@ from .gcdsums import L1, LatticeBallSpec, cube_gcd_sums, gcd_sum, l1_gcd_sums
 from .groups import NAMED_SPECS, GroupSpec, named_spec, spec_from_json_dict
 from .series import detect_quasi_polynomial, select_asymptotic_model
 from .verify import run_verification
-from .words import central_growth, enumerate_ball, resolve_budget, standard_generating_set
+from .words import central_growth, check_budget, enumerate_ball, resolve_budget, standard_generating_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -209,6 +209,7 @@ def cmd_gcdsum(args, spec):
     offset = _parse_offset(args.offset) if args.offset else ()
     ball = LatticeBallSpec(dim=args.dim, radius=args.radius, norm=args.norm, offset=offset)
     radii = range(1, ball.radius + 1, args.step)
+    check_budget(len(radii), args.budget, "rows of the gcd-sum table")
     if args.method == "direct":
         # One pass at the last sampled radius gives every row.
         sequence = l1_gcd_sums if ball.norm == L1 else cube_gcd_sums

@@ -21,7 +21,6 @@ from .groups import (
     Element,
     GroupSpec,
     Vector,
-    abelianize,
     affine_maps,
     broken_relators,
     central_element,
@@ -416,16 +415,6 @@ def conjugacy_length_window_check(
     return report
 
 
-def colinear_commute_check(spec: GroupSpec, g: Element, h: Element) -> tuple[bool, bool]:
-    """(do g,h commute?, are their abelianizations colinear?) — must agree in H_1."""
-    if spec.s != 0 or spec.r != 1:
-        raise SpecError("colinearity criterion applies to H_1 only")
-    commute = spec.mul(g, h) == spec.mul(h, g)
-    u, v = abelianize(spec, g), abelianize(spec, h)
-    colinear = u[0] * v[1] - u[1] * v[0] == 0
-    return commute, colinear
-
-
 def direct_product_conjugacy_growth(
     spec_a: GroupSpec,
     spec_b: GroupSpec,
@@ -573,41 +562,3 @@ def hd_embeddings(spec: GroupSpec, budget: int | None = None) -> EmbeddingReport
     if not (label_ok and reduction_ok and relators_ok and injective_ok and hom_ok):
         raise StructuralError("embedding verification failed")
     return report
-
-
-@dataclass
-class DominationReport:
-    """Smallest lambda with c_sub(n) <= lambda c_amb(lambda n) + lambda on computed radii."""
-
-    radius: int
-    counts_sub: list[int]
-    counts_ambient: list[int]
-    fitted_lambda: int | None
-
-
-def subgroup_domination_report(
-    spec: GroupSpec,
-    n: int,
-    budget: int | None = None,
-) -> DominationReport:
-    """Exploratory check that c_{Gamma_1} is dominated by c_{H_D}.
-
-    Gamma_1 is isomorphic to H_r (all its pair commutators hit the same power
-    of c), so its intrinsic counts are those of H_r.
-    """
-    if spec.s != 0 or spec.r == 0:
-        raise SpecError("domination report is defined for H_D")
-    hr = make_group_spec(0, spec.r, (1,) * (spec.r - 1))
-    lam_max = 2  # ambient ball at radius lam*n; degree-(2r+2) balls grow fast
-    sub_counts = conjugacy_growth_exact(hr, standard_generating_set(hr), n, budget=budget)
-    amb_counts = conjugacy_growth_exact(
-        spec, standard_generating_set(spec), lam_max * n, budget=budget
-    )
-    fitted = None
-    for lam in range(1, lam_max + 1):
-        if all(sub_counts[m] <= lam * amb_counts[min(lam * m, len(amb_counts) - 1)] + lam for m in range(n + 1)):
-            fitted = lam
-            break
-    return DominationReport(
-        radius=n, counts_sub=sub_counts, counts_ambient=amb_counts, fitted_lambda=fitted
-    )

@@ -1,4 +1,4 @@
-"""Exact gcd sums over lattice balls and their zeta-ratio asymptotics.
+"""Exact gcd sums over lattice balls, the expected gcd, and zeta.
 
 Sums are exact integers, computed by two independent routes.
 
@@ -30,7 +30,7 @@ sieve gives the whole sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -351,69 +351,3 @@ def zeta(s: float) -> float:
     total = sum(k ** (-float(s)) for k in range(1, n + 1))
     total += n ** (1 - s) / (s - 1) - 0.5 * n ** (-float(s)) + s * n ** (-s - 1) / 12.0
     return total
-
-
-@dataclass
-class FitReport:
-    """Normalized gcd-sum ratios along a radius schedule and their spread."""
-
-    dim: int
-    norm: str
-    radii: tuple[int, ...]
-    sums: tuple[int, ...]
-    ratios: tuple[float, ...]
-    drift: float
-    constant_estimate: float
-    theory_constant: float
-    log_factor: bool = field(default=False)
-
-
-def ball_volume_constant(dim: int, norm: str) -> Fraction:
-    """Leading coefficient R of |B(n)| = R n^dim + O(n^{dim-1})."""
-    if norm == CUBE:
-        return Fraction(2**dim)
-    return Fraction(2**dim, math.factorial(dim))
-
-
-def gcd_sum_fit(
-    dim: int,
-    norm: str,
-    radii,
-    budget: int | None = None,
-    method: str = "direct",
-) -> FitReport:
-    """Fit gcd sums against R n^2 log n (dim 2) or R n^dim (dim >= 3)."""
-    radii = tuple(int(n) for n in radii)
-    if len(radii) < 3 or any(a >= b for a, b in zip(radii, radii[1:])):
-        raise SpecError("need at least 3 strictly increasing radii")
-    if radii[0] < 2:
-        raise SpecError("radii must start at 2 or more")
-    if norm == L1:
-        per_radius = l1_gcd_sums(dim, radii[-1], method=method, budget=budget)
-        sums = tuple(per_radius[n] for n in radii)
-    else:
-        sums = tuple(gcd_sum(LatticeBallSpec(dim, n, norm), budget=budget, method=method) for n in radii)
-    r = float(ball_volume_constant(dim, norm))
-    if dim == 2:
-        ratios = tuple(s / (n * n * math.log(n)) for s, n in zip(sums, radii))
-        theory = r / zeta(2)
-        log_factor = True
-    else:
-        ratios = tuple(s / n**dim for s, n in zip(sums, radii))
-        theory = r * zeta(dim - 1) / zeta(dim)
-        log_factor = False
-    mean = sum(ratios) / len(ratios)
-    if mean == 0:
-        raise SpecError("degenerate fit: zero ratios")
-    drift = (max(ratios) - min(ratios)) / mean
-    return FitReport(
-        dim=dim,
-        norm=norm,
-        radii=radii,
-        sums=sums,
-        ratios=ratios,
-        drift=drift,
-        constant_estimate=ratios[-1],
-        theory_constant=theory,
-        log_factor=log_factor,
-    )

@@ -108,7 +108,15 @@ def make_group_spec(s: int, r: int, delta: tuple[int, ...] | list[int] = ()) -> 
     return GroupSpec(s, r, tuple(delta))
 
 
+def refuse_unknown_keys(data, known: tuple[str, ...], what: str) -> None:
+    """SpecError naming every key of the JSON object data outside known; a non-object is left to its reader."""
+    unknown = sorted(data.keys() - set(known)) if isinstance(data, dict) else []
+    if unknown:
+        raise SpecError(f"bad {what} payload: unknown keys {unknown}; known: {list(known)}")
+
+
 def spec_from_json_dict(data: dict) -> GroupSpec:
+    refuse_unknown_keys(data, ("s", "r", "delta"), "group spec")
     try:
         return make_group_spec(data["s"], data["r"], data["delta"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -126,32 +134,6 @@ def check_element(spec: GroupSpec, g: Element) -> Element:
     if len(g) != spec.ncoords:
         raise SpecError(f"element has {len(g)} coordinates, spec needs {spec.ncoords}")
     return g
-
-
-def element_to_json_dict(spec: GroupSpec, g: Element) -> dict:
-    check_element(spec, g)
-    s, r = spec.s, spec.r
-    return {
-        "z": list(g[:s]),
-        "ab": [[g[s + 2 * t], g[s + 2 * t + 1]] for t in range(r)],
-        "k": g[-1],
-    }
-
-
-def element_from_json_dict(spec: GroupSpec, data: dict) -> Element:
-    try:
-        z = [exact_int(x) for x in data["z"]]
-        ab = [(exact_int(i), exact_int(j)) for i, j in data["ab"]]
-        k = exact_int(data["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad element payload: {exc}") from exc
-    if len(z) != spec.s or len(ab) != spec.r:
-        raise SpecError("element payload shape does not match spec")
-    flat = list(z)
-    for i, j in ab:
-        flat.extend((i, j))
-    flat.append(k)
-    return tuple(flat)
 
 
 @lru_cache(maxsize=64)
@@ -365,23 +347,9 @@ def abelianize(spec: GroupSpec, g: Element) -> Vector:
     return g[:-1]
 
 
-def canonical_lift(spec: GroupSpec, v: Vector) -> Element:
-    """The section v -> (v, 0) of abelianize."""
-    if len(v) != spec.dim:
-        raise SpecError(f"vector has {len(v)} coordinates, expected {spec.dim}")
-    return tuple(v) + (0,)
-
-
 def central_element(spec: GroupSpec, k: int) -> Element:
     """c^k."""
     return (0,) * spec.dim + (k,)
-
-
-def is_central(spec: GroupSpec, g: Element) -> bool:
-    """True iff g commutes with everything, i.e. all a/b coordinates vanish."""
-    check_element(spec, g)
-    s = spec.s
-    return all(x == 0 for x in g[s:-1])
 
 
 def omega_form(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:

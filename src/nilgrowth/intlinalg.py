@@ -6,7 +6,6 @@ All matrices are tuples of row tuples of Python ints; everything is exact
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import SpecError
 
@@ -26,10 +25,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: Matrix) -> Matrix:
@@ -57,35 +52,6 @@ def _rref(rows: list[list[Fraction]]):
         if rank == len(rows):
             break
     return pivots
-
-
-def rank(a: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    return len(_rref(rows))
-
-
-def row_kernel_vector(a: Matrix) -> tuple[int, ...] | None:
-    """A primitive nonzero integer v with v a = 0, or None if the rows are independent."""
-    # row kernel of a = column kernel of a^T
-    at = [[Fraction(x) for x in row] for row in mat_transpose(a)]
-    pivots = _rref(at)
-    n = len(a)
-    free = [q for q in range(n) if q not in pivots]
-    if not free:
-        return None
-    q = free[0]
-    v = [Fraction(0)] * n
-    v[q] = Fraction(1)
-    for p, col in enumerate(pivots):
-        v[col] = -at[p][q]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -1,8 +1,7 @@
 """Sequence-level analysis of growth data.
 
-Three tools: exact quasi-polynomial detection (rational generating function
-proxy), the non-decreasing corollary check (all component polynomials share
-one degree), and asymptotic model selection between a n^d and a n^d log n.
+Two tools: exact quasi-polynomial detection (rational generating function
+proxy) and asymptotic model selection between a n^d and a n^d log n.
 Quasi-polynomial fitting is exact rational arithmetic; only the asymptotic
 fits use floating point.
 """
@@ -13,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpecError, StructuralError
+from .errors import SpecError
 from .words import growth_exponent_fit
 
 Poly = tuple[Fraction, ...]  # coefficients, low degree first
@@ -109,21 +108,6 @@ def detect_quasi_polynomial(values, max_period: int, max_degree: int) -> QuasiPo
                 if polys is not None:
                     return QuasiPolynomial(period=period, threshold=threshold, polys=tuple(polys))
     return None
-
-
-def rational_implies_polynomial_check(qp: QuasiPolynomial, nondecreasing: bool) -> int:
-    """Common degree of all component polynomials.
-
-    For a non-decreasing sequence with a rational generating function the
-    components must share one degree; a mismatch under that assumption is a
-    structural contradiction rather than a usage error.
-    """
-    degrees = {poly_degree(p) for p in qp.polys}
-    if len(degrees) == 1:
-        return degrees.pop()
-    if nondecreasing:
-        raise StructuralError(f"component degrees differ: {sorted(degrees)}")
-    raise SpecError("component degrees differ; no common growth degree")
 
 
 @dataclass(frozen=True)

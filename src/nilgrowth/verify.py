@@ -26,6 +26,7 @@ from .conjugacy import (
     conjugacy_growth_exact,
     conjugacy_growth_oracle,
     conjugacy_length_window_check,
+    direct_product_conjugacy_growth,
     hd_embeddings,
 )
 from .errors import StructuralError
@@ -39,6 +40,7 @@ from .gcdsums import (
 )
 from .groups import (
     GroupSpec,
+    abelianize,
     broken_relators,
     central_element,
     commutator,
@@ -46,6 +48,7 @@ from .groups import (
     conjugate,
     inverse,
     inverse_array,
+    make_group_spec,
     multiply,
     multiply_array,
     named_spec,
@@ -54,7 +57,7 @@ from .groups import (
     power_array,
     standard_generators,
 )
-from .intlinalg import identity_matrix
+from .intlinalg import hermite_normal_form, hnf_reduce, identity_matrix, mat_neg
 from .series import detect_quasi_polynomial, select_asymptotic_model
 from .words import central_growth, enumerate_ball, standard_generating_set
 
@@ -129,6 +132,16 @@ def check_class_key_invariance(spec: GroupSpec) -> None:
         x, g = _rand_elt(rng, spec), _rand_elt(rng, spec)
         if class_key(spec, conjugate(spec, x, g)) != class_key(spec, g):
             raise StructuralError(f"class key moved under conjugation at {x}, {g}")
+
+
+def check_colinear_commuting(spec: GroupSpec) -> None:
+    """In H1, g and h commute exactly when their abelianizations are colinear: [g, h] is c^(g_a h_b - g_b h_a)."""
+    rng = random.Random(3)
+    for _ in range(400):
+        g, h = (tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(2))
+        u, v = abelianize(spec, g), abelianize(spec, h)
+        if (multiply(spec, g, h) == multiply(spec, h, g)) != (u[0] * v[1] == u[1] * v[0]):
+            raise StructuralError(f"commuting and colinearity disagree at {g}, {h}")
 
 
 def check_ball_robustness(spec: GroupSpec, radius: int) -> None:
@@ -221,6 +234,31 @@ def check_twisted(spec: GroupSpec, radius: int) -> None:
         raise StructuralError("structural twisted counts differ from brute force")
     if not brute.stable:
         raise StructuralError("twisted counts not stable under a deeper conjugator ball")
+    for f in (swap_automorphism(spec), make_automorphism(spec, mat_neg(identity_matrix(spec.dim)))):
+        res = twisted_growth_bruteforce(spec, gens, f, radius)
+        check_twisted_cosets(f, res.table, res.label)
+
+
+def check_twisted_cosets(f, table, label: np.ndarray) -> None:
+    """Each part of label, f's twisted partition of table (see merge_parts), lies over one coset of the rows of M - I.
+
+    h -> f(x) h x^-1 moves the abelianization by xbar (M - I), so hnf_reduce
+    gives every member of a part the same representative.
+    """
+    hnf = hermite_normal_form(tuple(tuple(x - int(p == q) for q, x in enumerate(row)) for p, row in enumerate(f.m)))
+    reps = {}
+    for root, v in zip(label.tolist(), table.coords[:, :-1].tolist()):
+        rep = hnf_reduce(hnf, v)
+        if reps.setdefault(root, rep) != rep:
+            raise StructuralError(f"a twisted class under M = {f.m} meets two cosets of M - I: {reps[root]}, {rep}")
+
+
+def check_direct_product(spec: GroupSpec, radius: int) -> None:
+    """c of Z^s x H_D is the convolution of the counts of Z^s and H_D: word lengths add and classes pair up."""
+    factors = make_group_spec(spec.s, 0), make_group_spec(0, spec.r, spec.delta)
+    exact = conjugacy_growth_exact(spec, standard_generating_set(spec), radius)
+    if direct_product_conjugacy_growth(*factors, radius) != exact:
+        raise StructuralError(f"class counts {exact} are not the convolution of the counts of Z^{spec.s} and H_D")
 
 
 def check_extension(spec: GroupSpec, radius: int) -> None:
@@ -271,6 +309,10 @@ def run_verification(spec: GroupSpec, quick: bool = False) -> list[CheckResult]:
     if spec.s == 0 and spec.r >= 1 and all(d == 1 for d in spec.delta):
         checks.append(("length_window", lambda: check_length_window(spec, conj_radius)))
         checks.append(("sandwich_bounds", lambda: check_sandwich(spec, radius=5 if quick else 7)))
+    if spec.s == 0 and spec.r == 1:
+        checks.append(("colinear_commuting", lambda: check_colinear_commuting(spec)))
+    if spec.s >= 1 and spec.r >= 1:
+        checks.append(("direct_product", lambda: check_direct_product(spec, conj_radius)))
     if spec.s == 0:
         checks.append(("automorphisms", lambda: check_automorphisms(spec)))
     if spec.s == 0 and spec.dim <= 4:

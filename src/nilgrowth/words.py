@@ -211,11 +211,7 @@ def run_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _spheres(codec: BallCodec, n: int, cap: int):
-    """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap.
-
-    A sphere's budget check runs when the consumer asks for the next one, so a
-    length search that stops at the sphere holding its target skips it.
-    """
+    """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap."""
     lo = hi = np.array([codec.identity], dtype=np.int64)  # the ball's runs so far
     sphere_lo, span = lo, np.zeros(1, dtype=np.int64)  # the last sphere's runs: starts, and lengths less one
     steps = len(codec.deltas)
@@ -347,33 +343,6 @@ def enumerate_ball(
     return BallTable(spec=spec, radius=n, codec=codec, runs=runs)
 
 
-def word_length(
-    spec: GroupSpec,
-    g: Element,
-    gens: GeneratingSet,
-    cutoff: int,
-    budget: int | None = None,
-) -> int | None:
-    """Exact word length if <= cutoff, else None."""
-    if cutoff < 0:
-        raise SpecError("cutoff must be nonnegative")
-    if len(g) != spec.ncoords:
-        raise SpecError("element does not match spec")
-    cap = resolve_budget(budget)
-    if g == spec.identity():
-        return 0
-    codec = BallCodec(spec, _step_set(spec, gens), cutoff)
-    target = int(codec.pack_rows(np.array(g, dtype=object)))
-    if target < 0:
-        return None
-    for level, lo, hi in _spheres(codec, cutoff, cap):
-        # the last run starting at or before the target holds it, if any run does
-        pos = np.searchsorted(lo, target, side="right") - 1
-        if pos >= 0 and hi[pos] >= target:
-            return level
-    return None
-
-
 def central_growth(
     spec: GroupSpec,
     gens: GeneratingSet,
@@ -387,13 +356,6 @@ def central_growth(
     lo, hi, level = table.flat_runs
     a, b = np.searchsorted(lo, codec.join(codec.split(codec.identity)[0] + np.arange(2), 0))
     return cumulative_counts(np.repeat(level[a:b], hi[a:b] - lo[a:b] + 1), n)
-
-
-def bass_guivarch_exponent(spec: GroupSpec) -> int:
-    """Polynomial growth degree: s + 2r + 2, or s when r = 0 (no central c)."""
-    if spec.r == 0:
-        return spec.s
-    return spec.s + 2 * spec.r + 2
 
 
 def growth_exponent_fit(values, window: tuple[int, int]) -> float:
@@ -414,9 +376,3 @@ def growth_exponent_fit(values, window: tuple[int, int]) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
-
-
-def check_generates(spec: GroupSpec, gens: GeneratingSet, radius: int, budget: int | None = None) -> bool:
-    """Empirical generation check: the radius-ball contains every standard generator."""
-    table = enumerate_ball(spec, gens, radius, budget=budget)
-    return bool((table.index(np.array(standard_generators(spec))) >= 0).all())

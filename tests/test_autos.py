@@ -23,11 +23,9 @@ from nilgrowth.autos import (
     check_in_M,
     compose_automorphisms,
     extension_conjugacy_growth,
-    gamma_sample,
     identity_automorphism,
     inverse_automorphism,
     make_automorphism,
-    rank_case_classifier,
     swap_automorphism,
     twisted_growth_bruteforce,
     twisted_growth_structural,
@@ -50,9 +48,8 @@ from nilgrowth.intlinalg import (
     identity_matrix,
     mat_inverse,
     mat_mul,
-    rank,
-    row_kernel_vector,
 )
+from nilgrowth.verify import check_twisted_cosets
 from nilgrowth.words import GeneratingSet, _step_set, cumulative_counts, enumerate_ball, standard_generating_set
 
 from test_groups import _magnitudes
@@ -259,7 +256,6 @@ def test_gamma_linear_for_identity_matrix():
     rng = random.Random(9)
     for _ in range(100):
         v = (rng.randint(-10, 10), rng.randint(-10, 10))
-        assert gamma_sample(H1, f, v) == 0
         assert apply_automorphism(H1, f, v + (0,))[-1] == 4 * v[0] - 7 * v[1]
 
 
@@ -507,17 +503,10 @@ def test_one_conjugator_ball_per_count(monkeypatch):
 
 def test_twisted_class_respects_m_minus_i_coset():
     # members of one twisted class project into a single coset of the row
-    # span of M - I in the abelianization
+    # span of M - I in the abelianization (verify's twisted_counts runs this at its own radius)
     for f in (swap_automorphism(H1), make_automorphism(H1, ((-1, 0), (0, -1)))):
         res = twisted_growth_bruteforce(H1, GENS1, f, 5)
-        mi = tuple(
-            tuple(x - (1 if p == q else 0) for q, x in enumerate(row)) for p, row in enumerate(f.m)
-        )
-        hnf = hermite_normal_form(mi)
-        reps = {}
-        for g, root in zip(res.table.entries, res.label.tolist()):
-            rep = hnf_reduce(hnf, g[:-1])
-            assert reps.setdefault(root, rep) == rep
+        check_twisted_cosets(f, res.table, res.label)
 
 
 def test_twisted_count_comparability():
@@ -526,20 +515,6 @@ def test_twisted_count_comparability():
     res = twisted_growth_bruteforce(H1, GENS1, swap_automorphism(H1), 4)
     for m in range(5):
         assert res.counts[m] <= 3 * exact12[3 * m] + 3
-
-
-def test_classifier_cases():
-    rep = rank_case_classifier(H1, identity_automorphism(H1))
-    assert (rep.label, rep.rank_m_minus_i) == ("identity", 0)
-    rep = rank_case_classifier(H1, swap_automorphism(H1))
-    assert (rep.label, rep.eps) == ("eps_minus_one", -1)
-    rep = rank_case_classifier(H1, make_automorphism(H1, ((-1, 0), (0, -1))))
-    assert (rep.label, rep.rank_m_minus_i) == ("rank_ge_2", 2)
-    rep = rank_case_classifier(H1, make_automorphism(H1, identity_matrix(2), (1, 0)))
-    assert (rep.label, rep.rank_m_minus_i) == ("rank_0", 0)
-    rep = rank_case_classifier(H1, make_automorphism(H1, ((1, 1), (0, 1))))
-    assert (rep.label, rep.rank_m_minus_i) == ("rank_1", 1)
-    assert rep.kernel_vector == (0, 1)
 
 
 def test_extension_trivial_twist():
@@ -572,6 +547,9 @@ def test_automorphism_json_round_trip():
     assert g.m == f.m and g.kappa == f.kappa and g.eps == f.eps
     with pytest.raises(SpecError):
         automorphism_from_json_dict(H1, {"kappa": [1, 0]})
+    # a misspelt key was once ignored, so {"M": I, "kapa": ...} read as the identity
+    with pytest.raises(SpecError, match=r"unknown keys \['kapa'\]"):
+        automorphism_from_json_dict(H1, {"M": [[1, 0], [0, 1]], "kapa": [6, 8]})
 
 
 @pytest.mark.parametrize("m, kappa", [([[True, False], [False, True]], [False, True]), ([[1, 0], [0, 1]], [0, True])])
@@ -597,13 +575,6 @@ def test_theta_compatibility():
 
 
 # --- integer linear algebra ---
-
-
-def test_rank_examples():
-    assert rank(((1, 0), (0, 1))) == 2
-    assert rank(((1, 2), (2, 4))) == 1
-    assert rank(((0, 0), (0, 0))) == 0
-    assert rank(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == 2
 
 
 def test_mat_inverse():
@@ -633,14 +604,6 @@ def test_hnf_reduce_canonical():
         assert hnf_reduce(hnf, v) == hnf_reduce(hnf, w)
     assert hnf_reduce(hnf, (7, -8)) == (1, 1)
     assert hnf_reduce((), (7, -8)) == (7, -8)
-
-
-def test_row_kernel_vector():
-    assert row_kernel_vector(((1, 0), (0, 1))) is None
-    v = row_kernel_vector(((1, 2), (2, 4)))
-    assert v is not None and v[0] * 1 + v[1] * 2 == 0 and v[0] * 2 + v[1] * 4 == 0
-    v = row_kernel_vector(((0, 1), (0, 0)))
-    assert v == (0, 1) or v == (0, -1)
 
 
 @pytest.mark.parametrize("name, kappa", [("H1", (6, 8)), ("H1", (3, -2)), ("ZxH1", (2, 5, -3))])

@@ -77,20 +77,44 @@ def test_back_to_back_calls_match_fresh_calls(capsys):
     assert not hasattr(args, "dim") and args.mode == "exact" and args.budget is None
 
 
-def test_budget_exit_code(tmp_path):
+def test_budget_exit_code(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert main(["ball", "--spec", "H1", "--radius", "12", "--budget", "50", "--out", str(out)]) == EXIT_BUDGET
     assert not out.exists()
-    # the totient sieve's cells go through the same budget
-    argv = ["gcdsum", "--dim", "2", "--radius", "100000", "--method", "sieve", "--budget", "10", "--out", str(out)]
-    assert main(argv) == EXIT_BUDGET
+    # the totient sieve's cells go through the same budget: two rows, the second sieving 100001 cells
+    argv = ["gcdsum", "--dim", "2", "--radius", "100000", "--step", "99999", "--method", "sieve", "--budget", "10"]
+    assert main(argv + ["--out", str(out)]) == EXIT_BUDGET
     assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("budget exceeded: cells of the totient sieve: 100001")
+    # and so do the rows of a sweep, before either route runs a ball: a sieve sweep of 10^11 rows once ran on
+    for method in ("sieve", "direct"):
+        assert main(["gcdsum", "--dim", "2", "--radius", str(10**11), "--method", method]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "budget exceeded: rows of the gcd-sum table: 100000000000 needed, beyond the 100000000 cap"
+        ]
     # the twisted brute force charges one ball: the radius-7 conjugator ball (1069), whose prefix it counts
     auto = tmp_path / "swap.json"
     auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
     argv = ["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto), "--mode", "brute"]
     assert main(argv + ["--conjugator-radius", "5", "--budget", "1068", "--out", str(out)]) == EXIT_BUDGET
     assert not out.exists()
+
+
+def test_unknown_json_keys_exit_2_with_one_line(tmp_path, capsys):
+    # a misspelt kappa was once ignored: this automorphism read as the identity and exited 0
+    auto = tmp_path / "auto.json"
+    auto.write_text(json.dumps({"M": [[1, 0], [0, 1]], "kapa": [6, 8]}))
+    assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(auto)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad automorphism payload: unknown keys ['kapa']; known: ['M', 'kappa']"
+    ]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"s": 0, "r": 1, "delta": [], "dleta": [2]}))
+    assert main(["ball", "--spec", str(spec), "--radius", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad group spec payload: unknown keys ['dleta']; known: ['s', 'r', 'delta']"
+    ]
 
 
 def test_usage_errors(tmp_path):
@@ -320,6 +344,8 @@ BAD_INPUTS = {
     "bool_delta": json.dumps({"s": 0, "r": 2, "delta": [True]}),
     "big_weight": json.dumps({"s": 0, "r": 2, "delta": [2**70]}),
     "bool_auto": json.dumps({"M": [[True, False], [False, True]], "kappa": [False, True]}),
+    "unknown_key_spec": json.dumps({"s": 0, "r": 1, "delta": [], "dleta": [2]}),
+    "unknown_key_auto": json.dumps({"M": [[1, 0], [0, 1]], "kapa": [6, 8]}),
     "nan_table": "n,value\n0,1\n1,nan\n2,3\n",
 }
 
@@ -336,10 +362,10 @@ def _bad_argv():
         if "--radius" in argv:
             swap("--radius", "-1", "negative-radius")
         if "--spec" in argv:
-            for what in ("broken", "bool_spec", "bool_delta", "missing", "directory"):
+            for what in ("broken", "bool_spec", "bool_delta", "unknown_key_spec", "missing", "directory"):
                 swap("--spec", f"{{{what}}}", f"spec-{what}")
         if "--auto" in argv:
-            for what in ("broken", "bool_auto", "missing", "directory"):
+            for what in ("broken", "bool_auto", "unknown_key_auto", "missing", "directory"):
                 swap("--auto", f"{{{what}}}", f"auto-{what}")
         if "--in" in argv:
             for what in ("nan_table", "missing", "directory"):

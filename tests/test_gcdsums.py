@@ -13,11 +13,9 @@ from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.gcdsums import (
     LatticeBallSpec,
     _totients,
-    ball_volume_constant,
     cube_ball_count,
     expected_gcd,
     gcd_sum,
-    gcd_sum_fit,
     l1_ball_count,
     l1_gcd_sums,
     positive_cube_gcd_sum,
@@ -234,37 +232,6 @@ def test_zeta_against_scipy():
     scipy_special = pytest.importorskip("scipy.special")
     for s in (2, 3, 4, 5, 2.5):
         assert abs(zeta(s) - float(scipy_special.zeta(s, 1))) < 1e-10
-
-
-def test_gcd_sum_fit_dim3():
-    report = gcd_sum_fit(3, "cube", (50, 100, 200), method="sieve")
-    assert report.drift < 0.05
-    assert abs(report.constant_estimate - report.theory_constant) / report.theory_constant < 0.05
-    assert not report.log_factor
-
-
-def test_gcd_sum_fit_dim2_log():
-    report = gcd_sum_fit(2, "cube", (200, 500, 1000), method="sieve")
-    assert report.log_factor
-    # ratios hover near R2/zeta(2) with slow drift from the O(n^2) term
-    assert report.drift < 0.35
-    assert abs(report.constant_estimate - report.theory_constant) / report.theory_constant < 0.2
-
-
-def test_gcd_sum_fit_validation():
-    with pytest.raises(SpecError):
-        gcd_sum_fit(3, "cube", (10, 20))
-    with pytest.raises(SpecError):
-        gcd_sum_fit(3, "cube", (20, 10, 30))
-
-
-def test_volume_constants():
-    from fractions import Fraction
-
-    assert ball_volume_constant(2, "cube") == 4
-    assert ball_volume_constant(2, "l1") == 2
-    assert ball_volume_constant(4, "l1") == Fraction(16, 24)
-    assert ball_volume_constant(3, "cube") == 8
 
 
 def test_lattice_ball_spec_validation():

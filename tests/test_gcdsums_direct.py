@@ -1,4 +1,4 @@
-"""The direct gcd-sum engine's closed last axis, its max-norm cube pass, its blocks, its exact Python-int fallback, and the l1 fit's one sequence."""
+"""The direct gcd-sum engine's closed last axis, its max-norm cube pass, its blocks and its exact Python-int fallback."""
 from __future__ import annotations
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilgrowth import gcdsums
 from nilgrowth.errors import BudgetError
-from nilgrowth.gcdsums import LatticeBallSpec, cube_gcd_sums, gcd_sum, gcd_sum_fit, l1_gcd_sums
+from nilgrowth.gcdsums import LatticeBallSpec, cube_gcd_sums, gcd_sum, l1_gcd_sums
 from test_gcdsums import brute_gcd_sum
 
 
@@ -72,9 +72,3 @@ def test_direct_python_int_fallback():
     ball = LatticeBallSpec(39, 1, "cube", (2,) + (0,) * 38)
     assert 3**39 * 3 >= 2**63
     assert gcd_sum(ball, budget=10**30) == gcd_sum(ball, budget=10**30, method="sieve")
-
-
-def test_l1_fit_reads_one_sequence():
-    for method in ("direct", "sieve"):
-        report = gcd_sum_fit(3, "l1", (4, 7, 10), method=method)
-        assert report.sums == tuple(gcd_sum(LatticeBallSpec(3, n, "l1"), method=method) for n in (4, 7, 10))

@@ -17,17 +17,13 @@ from nilgrowth.groups import (
     SMALL_ARRAY,
     abelianize,
     affine_maps,
-    canonical_lift,
     central_element,
     check_element,
     commutator,
     commutator_form,
     conjugate,
-    element_from_json_dict,
-    element_to_json_dict,
     inverse,
     inverse_array,
-    is_central,
     make_group_spec,
     multiply,
     multiply_array,
@@ -105,6 +101,12 @@ def test_spec_refuses_booleans(payload):
         spec_from_json_dict(payload)
     with pytest.raises(SpecError, match="must be integers"):
         make_group_spec(payload["s"], payload["r"], payload["delta"])
+
+
+def test_spec_refuses_unknown_keys():
+    # a misspelt key was once ignored; the loader names every key it does not know
+    with pytest.raises(SpecError, match=r"unknown keys \['dleta', 'x'\]"):
+        spec_from_json_dict({"s": 0, "r": 1, "dleta": [], "x": 1})
 
 
 def test_spec_stores_exact_ints():
@@ -270,7 +272,7 @@ def test_commutator_equals_form():
         for _ in range(200):
             g, h = rand_element(rng, spec), rand_element(rng, spec)
             com = commutator(spec, g, h)
-            assert is_central(spec, com)
+            assert not any(com[spec.s : -1])  # central: no a or b coordinate
             assert com == central_element(spec, commutator_form(spec, abelianize(spec, g), abelianize(spec, h)))
 
 
@@ -325,9 +327,9 @@ def test_abelianize_lift():
             x + y for x, y in zip(abelianize(spec, g), abelianize(spec, h))
         )
     v = (3, -1, 2, 5)
-    assert abelianize(spec, canonical_lift(spec, v)) == v
+    assert abelianize(spec, v + (0,)) == v
     with pytest.raises(SpecError):
-        canonical_lift(spec, (1, 2, 3))
+        abelianize(spec, (1, 2, 3))
 
 
 def test_omega_form_matrix():
@@ -501,27 +503,6 @@ def test_standard_generators():
     assert len(gens) == 5
     assert gens[0] == (1, 0, 0, 0, 0, 0)
     assert gens[4] == (0, 0, 0, 0, 1, 0)
-
-
-def test_element_json_roundtrip():
-    spec = named_spec("HD2")
-    g = (2, -1, 0, 5, -7)
-    payload = element_to_json_dict(spec, g)
-    assert payload == {"z": [], "ab": [[2, -1], [0, 5]], "k": -7}
-    assert element_from_json_dict(spec, payload) == g
-    zspec = make_group_spec(1, 1)
-    h = (4, 1, -2, 9)
-    assert element_from_json_dict(zspec, element_to_json_dict(zspec, h)) == h
-    with pytest.raises(SpecError):
-        element_from_json_dict(spec, {"z": [1], "ab": [], "k": 0})
-    # non-integral numbers are refused, not truncated
-    for bad in ({"z": [], "ab": [[2, -1], [0, 5]], "k": 1.5}, {"z": [], "ab": [[2.0, -1], [0, 5]], "k": 1}):
-        with pytest.raises(SpecError):
-            element_from_json_dict(spec, bad)
-    # and booleans are not read as 0 and 1
-    for on, bad in ((spec, {"z": [], "ab": [[2, -1], [0, 5]], "k": True}), (zspec, {"z": [False], "ab": [[4, 1]], "k": 9})):
-        with pytest.raises(SpecError, match="must be integers"):
-            element_from_json_dict(on, bad)
 
 
 _COORD = st.one_of(st.integers(-20, 20), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63)))

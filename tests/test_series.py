@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from nilgrowth.conjugacy import conjugacy_growth_exact
-from nilgrowth.errors import SpecError, StructuralError
+from nilgrowth.errors import SpecError
 from nilgrowth.groups import named_spec
 from nilgrowth.series import (
-    QuasiPolynomial,
     detect_quasi_polynomial,
     non_holonomy_report,
     poly_degree,
     poly_eval,
-    rational_implies_polynomial_check,
     select_asymptotic_model,
 )
 from nilgrowth.words import standard_generating_set
@@ -72,21 +70,6 @@ def test_conjugacy_counts_are_not_quasi_polynomial():
     h1 = named_spec("H1")
     counts = conjugacy_growth_exact(h1, standard_generating_set(h1), 30)
     assert detect_quasi_polynomial(counts, 3, 4) is None
-
-
-def test_rational_corollary_check():
-    sq = (Fraction(0), Fraction(0), Fraction(1))
-    sq_n = (Fraction(0), Fraction(1), Fraction(1))
-    qp = QuasiPolynomial(period=2, threshold=0, polys=(sq, sq_n))
-    assert rational_implies_polynomial_check(qp, nondecreasing=True) == 2
-    cube = QuasiPolynomial(period=1, threshold=0, polys=((Fraction(0),) * 3 + (Fraction(1),),))
-    assert rational_implies_polynomial_check(cube, nondecreasing=True) == 3
-    lin = (Fraction(0), Fraction(1))
-    bad = QuasiPolynomial(period=2, threshold=0, polys=(lin, sq))
-    with pytest.raises(StructuralError):
-        rational_implies_polynomial_check(bad, nondecreasing=True)
-    with pytest.raises(SpecError):
-        rational_implies_polynomial_check(bad, nondecreasing=False)
 
 
 def test_select_pure_power():

@@ -16,16 +16,13 @@ from nilgrowth.words import (
     GeneratingSet,
     KeyCodec,
     _step_set,
-    bass_guivarch_exponent,
     central_growth,
     check_budget,
-    check_generates,
     cumulative_counts,
     enumerate_ball,
     growth_exponent_fit,
     run_keys,
     standard_generating_set,
-    word_length,
 )
 
 
@@ -68,18 +65,6 @@ def test_bfs_parent_property():
         assert any(table.entries.get(multiply(spec, g, x)) == l - 1 for x in steps)
 
 
-def test_word_length_basics(h1_ball12):
-    spec, table = h1_ball12
-    gens = standard_generating_set(spec)
-    assert word_length(spec, spec.identity(), gens, 5) == 0
-    # c^4 via the square spelling: length <= 8
-    l8 = word_length(spec, central_element(spec, 4), gens, 8)
-    assert l8 is not None and l8 <= 8
-    assert l8 == table.entries[central_element(spec, 4)]
-    # cutoff exceeded -> None
-    assert word_length(spec, (9, 9, 0), gens, 3) is None
-
-
 def test_length_lower_bound_by_abelian_norm(h1_ball12):
     spec, table = h1_ball12
     for g, l in table.entries.items():
@@ -105,13 +90,6 @@ def test_cumulative_counts_inputs():
     assert cumulative_counts({"a": 1}.values(), 2) == [0, 1, 1]
     assert cumulative_counts([], 2) == [0, 0, 0]
     assert cumulative_counts(np.empty(0, dtype=np.int64), -1) == cumulative_counts([3], -1) == []
-
-
-def test_bass_guivarch():
-    assert bass_guivarch_exponent(named_spec("H1")) == 4
-    assert bass_guivarch_exponent(make_group_spec(1, 2, (1,))) == 7
-    assert bass_guivarch_exponent(named_spec("HD2")) == 6
-    assert bass_guivarch_exponent(make_group_spec(3, 0)) == 3
 
 
 def test_growth_exponent_fit_exact_polynomial():
@@ -237,8 +215,6 @@ def test_engine_matches_dense_reference(case, kappa):
     assert class_lengths(spec, table, kappa) == _reference_twisted_lengths(spec, ref, kappa)
     central = [sum(1 for g, l in ref.items() if l <= m and not any(g[:-1])) for m in range(n + 1)]
     assert central_growth(spec, gens, n) == central
-    for g, l in list(ref.items())[:: max(1, len(ref) // 5)]:
-        assert word_length(spec, g, gens, n) == l
     # the row lookup: every ball element at its place in entries; the next sphere is not in the ball,
     # nor is a row past the coordinate bounds that packs to a ball key (one digit carried into the next)
     assert table.index(np.array(sorted(ref))).tolist() == list(range(len(ref)))
@@ -321,7 +297,6 @@ def test_sizes_central_counts_and_lengths_build_no_keys(monkeypatch, tmp_path):
     table = enumerate_ball(spec, gens, 6)
     sizes = np.bincount(table.lengths).tolist()
     central = [sum(1 for g, l in table.entries.items() if l <= m and not any(g[:-1])) for m in range(7)]
-    far = next(g for g, l in table.entries.items() if l == 6)
 
     def refuse(*args):
         raise AssertionError("per-element keys were built")
@@ -330,7 +305,6 @@ def test_sizes_central_counts_and_lengths_build_no_keys(monkeypatch, tmp_path):
     fresh = enumerate_ball(spec, gens, 6)
     assert fresh.sphere_sizes == sizes and fresh.ball_sizes()[-1] == len(table.keys)
     assert central_growth(spec, gens, 6) == central
-    assert word_length(spec, far, gens, 6) == 6 and word_length(spec, far, gens, 5) is None
     assert fresh.prefix(3).ball_sizes() == table.ball_sizes()[:4]
     for argv in (["ball"], ["growth", "--mode", "central"], ["growth", "--mode", "word"]):
         assert main(argv + ["--spec", "HD2", "--radius", "6", "--out", str(tmp_path / "out.csv")]) == EXIT_OK
@@ -356,8 +330,6 @@ def test_key_overflow_is_a_spec_error():
     huge = GeneratingSet(((10**12, 0, 0), (0, 10**12, 0)))
     with pytest.raises(SpecError, match="64-bit"):
         enumerate_ball(spec, huge, 3)
-    with pytest.raises(SpecError, match="64-bit"):
-        word_length(spec, (1, 0, 0), huge, 3)
     # a weight of 2^70: the radius-1 ball's keys fit, but its steps shift k by 2^70 per b_2 digit
     heavy = make_group_spec(0, 2, (2**70,))
     assert enumerate_ball(heavy, standard_generating_set(heavy), 0).ball_sizes() == [1]
@@ -374,7 +346,6 @@ def test_radius_zero_plans_no_step():
     spec = named_spec("H1")
     huge = GeneratingSet(((2**70, 0, 0),))
     assert enumerate_ball(spec, huge, 0).ball_sizes() == [1]
-    assert word_length(spec, (1, 0, 0), huge, 0) is None
     with pytest.raises(SpecError, match="64-bit"):
         enumerate_ball(spec, huge, 1)
 
@@ -419,17 +390,6 @@ def test_key_codec_round_trips_in_row_order(case):
     KeyCodec(offsets, [(KEY_LIMIT - 1) // rest] + radices[1:], "test rows")
 
 
-def test_word_length_budget():
-    spec = named_spec("H1")
-    gens = standard_generating_set(spec)
-    with pytest.raises(BudgetError) as info:
-        word_length(spec, (6, 0, 0), gens, 6, budget=20)
-    assert (info.value.needed, info.value.budget) == (53, 20)
-    # A target found on a sphere is returned without that sphere's budget check.
-    assert word_length(spec, (1, 1, 0), gens, 6, budget=5) == 2
-    assert word_length(spec, (7, 0, 0), gens, 6, budget=5) is None
-
-
 def test_generating_set_robustness(h1_ball12):
     # T = S + {c}: beta_T(n) <= beta_S(4n) and beta_S(n) <= beta_T(n).
     spec, table_s = h1_ball12
@@ -454,16 +414,6 @@ def test_relative_growth_parity_translate(h1_ball12):
     for n in range(table.radius):
         assert ceven[n] <= codd[n + 1]
         assert codd[n] <= ceven[n + 1]
-
-
-def test_check_generates():
-    spec = named_spec("H1")
-    assert check_generates(spec, standard_generating_set(spec), 1)
-    # {a, ab} generates: b = a^-1 (ab) reachable at radius 2
-    gens = GeneratingSet(((1, 0, 0), (1, 1, 0)))
-    assert check_generates(spec, gens, 2)
-    # {a} alone does not generate within any radius
-    assert not check_generates(spec, GeneratingSet(((1, 0, 0),)), 6)
 
 
 def test_custom_generators_shift_lengths():
