@@ -230,10 +230,10 @@ def cmd_twisted(args, spec):
         spec, gens, f, args.radius, conjugator_radius=args.conjugator_radius, budget=args.budget
     )
     if not res.stable:
-        print(
-            f"warning: twisted counts not stable: conjugator radius {res.conjugator_radius} gives "
-            f"{res.first_pass_counts}, radius {res.conjugator_radius + 2} gives {res.counts}",
-            file=sys.stderr,
+        raise StructuralError(
+            f"twisted counts not stable: conjugator radius {res.conjugator_radius} gives "
+            f"{res.first_pass_counts}, radius {res.conjugator_radius + 2} gives {res.counts}; "
+            "pass a larger --conjugator-radius"
         )
     extra = {"stable": res.stable, "conjugator_radius": res.conjugator_radius}
     return ["n", "classes"], list(enumerate(res.counts)), extra

@@ -251,11 +251,11 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     kappa = () gives conjugacy classes; for the automorphism (I, kappa) the
     same key gives twisted classes.  A class key packs the ball's body and
     r = k mod m for the modulus m > 0, or k's digit when m = 0, under the ball
-    codec's with_last_digit.  A run lies in one body, so its m is that of its
-    first key, and its class keys are its k digits when m = 0 and min(len, m)
-    residues from its first k, wrapped once at m, when m > 0.  One sort of the
-    keys of every run groups each class, and its least length is the least
-    level in its group.
+    codec's with_last_digit.  A run lies in one body, so its m is its body's,
+    read once per body, and its class keys are its k digits when m = 0 and
+    min(len, m) residues from its first k, wrapped once at m, when m > 0.  One
+    sort of the keys of every run groups each class, and its least length is
+    the least level in its group.
     """
     if table.spec != spec:
         raise SpecError("ball table was enumerated for another spec")
@@ -266,7 +266,9 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     classes = codec.with_last_digit(max(abs(x) + abs(y) for x, y in zip(reach, kappa)), "class keys of this ball")
     lo, hi, level = table.flat_runs
     body, digit = codec.split(lo)
-    m = _class_moduli(spec, codec, lo, kappa)
+    # the runs of one body are adjacent, so its modulus is read once, off its first run
+    starts = np.flatnonzero(np.concatenate(([True], body[1:] != body[:-1])))
+    m = np.repeat(_class_moduli(spec, codec, lo[starts], kappa), np.diff(starts, append=len(lo)))
     reduced = m > 0
     first = np.where(reduced, (digit - codec.offsets[-1]) % np.maximum(m, 1), digit)
     last = first + np.where(reduced, np.minimum(hi - lo, m - 1), hi - lo)
@@ -275,7 +277,7 @@ def class_lengths(spec: GroupSpec, table: BallTable, kappa: Vector = ()) -> Clas
     lo = np.concatenate((classes.join(body, first), classes.join(body[wraps], 0)))
     hi = np.concatenate((classes.join(body, np.where(wraps, m - 1, last)), classes.join(body, last - m)[wraps]))
     level = np.concatenate((level, level[wraps]))
-    del body, digit, m, reduced, first, last, wraps  # the per-key arrays below are the peak
+    del body, digit, starts, m, reduced, first, last, wraps  # the per-key arrays below are the peak
     keys = run_keys(lo, hi)
     order = np.argsort(keys)
     keys = keys[order]

@@ -16,14 +16,19 @@ and the one-step images of sphere L.  Their union is read off the candidate
 starts and ends, each sorted once; sphere L+1 is then B_{L+1} minus B_L, the
 gaps between B_L's runs inside B_{L+1}'s.  Sizes, central counts and word
 lengths read the runs; per-element keys are built only when asked for.
+
+enumerate_ball holds the last request's codec and runs, read-only, so a
+repeated request does not search again; each call still gets its own
+BallTable.  The next distinct request, or enumerate_ball.cache_clear(),
+releases them.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -336,11 +341,26 @@ def enumerate_ball(
     """Exact BFS ball of radius n; raises BudgetError past the element cap."""
     if n < 0:
         raise SpecError("radius must be nonnegative")
-    cap = resolve_budget(budget)
-    codec = BallCodec(spec, _step_set(spec, gens), n)
+    codec, runs = _ball(spec, tuple(_step_set(spec, gens)), n, resolve_budget(budget))
+    return BallTable(spec=spec, radius=n, codec=codec, runs=list(runs))
+
+
+@lru_cache(maxsize=1)
+def _ball(spec: GroupSpec, steps: tuple[Element, ...], n: int, cap: int) -> tuple[BallCodec, tuple]:
+    """The codec and sphere runs of enumerate_ball, every array read-only: the last request's are held for the next.
+
+    The cap is part of the key, so a lower budget is a miss and raises as a
+    fresh search would; a BudgetError is not cached.
+    """
+    codec = BallCodec(spec, list(steps), n)
     identity = np.array([codec.identity], dtype=np.int64)
-    runs = [(identity, identity)] + [(lo, hi) for _, lo, hi in _spheres(codec, n, cap)]
-    return BallTable(spec=spec, radius=n, codec=codec, runs=runs)
+    runs = ((identity, identity),) + tuple((lo, hi) for _, lo, hi in _spheres(codec, n, cap))
+    for array in (codec.deltas, *(corr for *_, corr in codec.cross), *chain.from_iterable(runs)):
+        array.flags.writeable = False
+    return codec, runs
+
+
+enumerate_ball.cache_clear = _ball.cache_clear
 
 
 def central_growth(

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, build_parser, load_spec, main
+from nilgrowth.cli import EXIT_BUDGET, EXIT_OK, EXIT_STRUCTURAL, EXIT_USAGE, build_parser, load_spec, main
 from nilgrowth.errors import SpecError
 from nilgrowth.gcdsums import LatticeBallSpec, gcd_sum
 
@@ -226,19 +226,50 @@ def test_twisted_and_extension(tmp_path):
     assert main(["twisted", "--spec", "H1", "--radius", "3", "--auto", str(bad)]) == EXIT_USAGE
 
 
-def test_unstable_twisted_count_warns(tmp_path, capsys):
+def test_unstable_twisted_count_exits_4(tmp_path, capsys):
     # kappa = (6, 8) outruns the default conjugator ball: n = 2 has 14 twisted classes, the brute force reports 15
     auto = tmp_path / "shift.json"
     auto.write_text(json.dumps({"M": [[1, 0], [0, 1]], "kappa": [6, 8]}))
-    assert main(["twisted", "--spec", "H1", "--radius", "2", "--auto", str(auto)]) == EXIT_OK
+    argv, out = ["twisted", "--spec", "H1", "--radius", "2", "--auto", str(auto)], tmp_path / "tw.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_STRUCTURAL
+    assert not out.exists()
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "2,15"
+    assert captured.out == ""
     assert captured.err.splitlines() == [
-        "warning: twisted counts not stable: conjugator radius 4 gives [1, 5, 16], radius 6 gives [1, 5, 15]"
+        "structural failure: twisted counts not stable: conjugator radius 4 gives [1, 5, 16], "
+        "radius 6 gives [1, 5, 15]; pass a larger --conjugator-radius"
     ]
+    # the remedy it names: conjugator radius 8 and its recheck at 10 both give the structural count, 14
+    assert main(argv + ["--conjugator-radius", "8"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "2,14"
     auto.write_text(json.dumps({"M": [[0, 1], [1, 0]], "kappa": [0, 0]}))
-    assert main(["twisted", "--spec", "H1", "--radius", "2", "--auto", str(auto)]) == EXIT_OK
+    assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_one_ball_serves_ball_conj_and_central_growth(tmp_path, monkeypatch):
+    # the three subcommands ask for one ball: the first searches it, the others reuse it, with the same rows
+    import nilgrowth.words as words
+
+    argvs = [["ball"], ["conj", "--mode", "exact"], ["growth", "--mode", "central"]]
+
+    def rows(clear):
+        tables = []
+        for i, argv in enumerate(argvs):
+            if clear:
+                words.enumerate_ball.cache_clear()
+            out = tmp_path / f"{clear}{i}.csv"
+            assert main([*argv, "--spec", "HD2", "--radius", "6", "--out", str(out)]) == EXIT_OK
+            tables.append(_read_csv(out))
+        return tables
+
+    searches, spheres = [], words._spheres
+    monkeypatch.setattr(words, "_spheres", lambda *a: searches.append(a[1:]) or spheres(*a))
+    words.enumerate_ball.cache_clear()
+    warm = rows(clear=False)
+    assert len(searches) == 1
+    assert rows(clear=True) == warm
+    assert len(searches) == 4
 
 
 def test_series_pipeline(tmp_path):

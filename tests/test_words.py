@@ -423,3 +423,77 @@ def test_custom_generators_shift_lengths():
     table = enumerate_ball(spec, gens_t, 2)
     assert table.entries[central_element(spec, 1)] == 1
     assert table.entries[central_element(spec, 2)] == 2
+
+
+@pytest.fixture
+def sphere_searches(monkeypatch):
+    """A list that gets one entry per BFS: words._spheres wrapped to count its runs, on a cleared ball cache."""
+    import nilgrowth.words as words
+
+    searches, spheres = [], words._spheres
+
+    def counting(codec, n, cap):
+        searches.append((n, cap))
+        return spheres(codec, n, cap)
+
+    monkeypatch.setattr(words, "_spheres", counting)
+    enumerate_ball.cache_clear()
+    yield searches
+    enumerate_ball.cache_clear()
+
+
+def test_repeated_ball_request_equals_a_fresh_search(sphere_searches):
+    from nilgrowth.conjugacy import conjugacy_growth_exact
+
+    spec = named_spec("HD2")
+    gens = standard_generating_set(spec)
+    first = enumerate_ball(spec, gens, 5)
+    counts = conjugacy_growth_exact(spec, gens, 5)
+    again = enumerate_ball(spec, gens, 5)
+    assert len(sphere_searches) == 1 and again is not first
+    enumerate_ball.cache_clear()
+    fresh = enumerate_ball(spec, gens, 5)
+    assert len(sphere_searches) == 2
+    for table in (again, fresh):
+        assert (table.codec.offsets, table.codec.radices) == (first.codec.offsets, first.codec.radices)
+        assert np.array_equal(table.codec.deltas, first.codec.deltas)
+        assert len(table.runs) == len(first.runs) == 6
+        for (lo, hi), (lo1, hi1) in zip(table.runs, first.runs):
+            assert np.array_equal(lo, lo1) and np.array_equal(hi, hi1)
+    assert conjugacy_growth_exact(spec, gens, 5) == counts == class_lengths(spec, fresh).counts(5)
+
+
+def test_held_ball_arrays_are_read_only(sphere_searches):
+    spec = named_spec("H1")
+    table = enumerate_ball(spec, standard_generating_set(spec), 4)
+    lo, hi = table.runs[2]
+    for array in (lo, hi, table.codec.deltas, *(corr for *_, corr in table.codec.cross)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
+    # the per-element arrays are the caller's own
+    table.keys[0] += 0
+    assert enumerate_ball(spec, standard_generating_set(spec), 4).runs[2][0] is lo
+
+
+def test_lower_budget_misses_the_ball_cache(sphere_searches):
+    spec = named_spec("H1")
+    gens = standard_generating_set(spec)
+    with pytest.raises(BudgetError) as cold:
+        enumerate_ball(spec, gens, 6, budget=20)
+    enumerate_ball.cache_clear()
+    assert enumerate_ball(spec, gens, 6).ball_sizes()[-1] > 20
+    with pytest.raises(BudgetError) as warm:
+        enumerate_ball(spec, gens, 6, budget=20)
+    assert (warm.value.needed, warm.value.budget) == (cold.value.needed, cold.value.budget) == (53, 20)
+    assert len(sphere_searches) == 3
+
+
+def test_budget_environment_change_misses_the_ball_cache(sphere_searches, monkeypatch):
+    spec = named_spec("H1")
+    gens = standard_generating_set(spec)
+    monkeypatch.setenv("NILGROWTH_BUDGET", "1000")
+    enumerate_ball(spec, gens, 3)
+    enumerate_ball(spec, gens, 3)
+    monkeypatch.setenv("NILGROWTH_BUDGET", "2000")
+    enumerate_ball(spec, gens, 3)
+    assert sphere_searches == [(3, 1000), (3, 2000)]
