@@ -2,10 +2,13 @@
 
 Balls are enumerated by exact breadth-first search over the Cayley graph of a
 finite generating set (inverses added automatically).  Every element of a
-radius-n ball is packed into one int64 key by a KeyCodec, which alone knows
+radius-n ball is packed into one integer key by a KeyCodec, which alone knows
 the layout: a mixed-radix number over its coordinates in order, each offset
 by an a-priori bound, with k the last digit.  Keys sort lexicographically,
-and the keys of one abelian body v are consecutive.
+and the keys of one abelian body v are consecutive.  The search works in
+int32 when the ball codec's bound on every key and every partial sum of its
+step plan is below 2^31, and in int64 otherwise; the runs it hands back are
+int64 either way.
 
 The search holds every sphere as runs [lo, hi] of consecutive keys, each
 inside one body: the elements (v, k) with k in an interval.  Right
@@ -37,8 +40,10 @@ from .groups import Element, GroupSpec, affine_maps, standard_generators
 
 DEFAULT_BUDGET = 10**8
 # Packed keys stay below this, so a key plus one step's shift cannot overflow int64, nor can it part way through
-# BallCodec.expand, which adds the shift in parts.
+# BallCodec.expand, which adds the shift in parts.  A ball whose codec bounds every key and every partial sum of
+# expand below NARROW_LIMIT is searched in int32 keys instead; the runs the search hands back are int64 either way.
 KEY_LIMIT = 2**62
+NARROW_LIMIT = 2**31
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -184,19 +189,25 @@ class BallCodec(KeyCodec):
         # can put the plan past int64 while the keys fit.
         if max(map(abs, deltas.tolist() + lin.ravel().tolist()), default=0) >= 2**63:
             raise SpecError(f"steps of the radius-{n} ball do not fit 64-bit keys")
-        self.deltas = deltas.astype(np.int64)[:, None]
+        # A key, plus a step's delta, plus lin_p(g) times a digit below radix_p for some of the p, bounds every key,
+        # every plan entry and every partial sum of expand: the search's working dtype holds them all.
+        reach = math.prod(self.radices) + max(map(abs, deltas.tolist()), default=0)
+        reach += sum(max(map(abs, lin_p), default=0) * radix for lin_p, radix in zip(lin.T.tolist(), self.radices))
+        self.dtype = np.dtype(np.int32 if reach < NARROW_LIMIT else np.int64)
+        self.deltas = deltas.astype(self.dtype)[:, None]
         self.cross = []  # (h_p stride, h_p radix, span of steps, lin_p(g) per step g of the span) per moving p
         for p, column in enumerate(lin.T):
             moves = column.nonzero()[0].tolist()
             if moves:
                 span = slice(moves[0], moves[-1] + 1)
-                self.cross.append((self.strides[p], self.radices[p], span, column[span].astype(np.int64)[:, None]))
+                self.cross.append((self.strides[p], self.radices[p], span, column[span].astype(self.dtype)[:, None]))
 
     def expand(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill the (steps, len(keys)) array out with the keys of every one-step product: row i holds g*x_i, g in keys.
 
         The k shift of g*x depends only on x and the body of g, so every row
-        of a sorted keys array is sorted.
+        of a sorted keys array is sorted.  keys and out are in self.dtype:
+        int32 when the codec's bound allows, so no sum here passes it.
         """
         np.add(keys, self.deltas, out=out)
         for stride, radix, span, corr in self.cross:
@@ -216,9 +227,13 @@ def run_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _spheres(codec: BallCodec, n: int, cap: int):
-    """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap."""
-    lo = hi = np.array([codec.identity], dtype=np.int64)  # the ball's runs so far
-    sphere_lo, span = lo, np.zeros(1, dtype=np.int64)  # the last sphere's runs: starts, and lengths less one
+    """Yield (L, lo, hi) for L = 1..n: sphere L as its runs [lo, hi], checking the cumulative ball size against cap.
+
+    The search works in codec.dtype; every sphere it yields is int64.
+    """
+    dtype = codec.dtype
+    lo = hi = np.array([codec.identity], dtype=dtype)  # the ball's runs so far
+    sphere_lo, span = lo, np.zeros(1, dtype=dtype)  # the last sphere's runs: starts, and lengths less one
     steps = len(codec.deltas)
     total = 1
     for level in range(1, n + 1):
@@ -226,7 +241,7 @@ def _spheres(codec: BallCodec, n: int, cap: int):
         # sphere's.  Each neighbour of the ball outside it is a neighbour of the last sphere, and a step moves a
         # whole run: its end keeps its distance from its start.
         old, size = len(lo), len(sphere_lo)
-        cand = np.empty((2, old + steps * size), dtype=np.int64)
+        cand = np.empty((2, old + steps * size), dtype=dtype)
         cand[0, :old], cand[1, :old] = lo, hi
         moved = cand[:, old:].reshape(2, steps, size)
         codec.expand(sphere_lo, moved[0])
@@ -248,14 +263,14 @@ def _spheres(codec: BallCodec, n: int, cap: int):
         # Sphere L+1 is the new ball minus the old, which lies inside it: the gaps between the old runs in each
         # new run, paired in order.  A gap is empty where an old run meets a new run's end.
         runs = len(new_lo)
-        gaps = np.empty((2, runs + old), dtype=np.int64)
+        gaps = np.empty((2, runs + old), dtype=dtype)
         gaps[0, :runs], gaps[1, :runs] = new_lo, new_hi
         np.add(hi, 1, out=gaps[0, runs:])
         np.subtract(lo, 1, out=gaps[1, runs:])
         gaps.sort()
         sphere = gaps.compress(gaps[0] <= gaps[1], axis=1)
         del gaps  # not held across the yield
-        yield level, sphere[0], sphere[1]
+        yield level, *sphere.astype(np.int64, copy=False)
         sphere_lo, span = sphere[0], sphere[1] - sphere[0]
         total += int(span.sum()) + len(span)
         check_budget(total, cap, f"stored elements of the radius-{level} ball")

@@ -32,6 +32,7 @@ from nilgrowth.autos import (
     verify_automorphism,
 )
 from nilgrowth.conjugacy import (
+    class_lengths,
     class_modulus,
     conjugacy_growth_exact,
     conjugacy_growth_oracle,
@@ -312,6 +313,20 @@ def test_wide_conjugator_ball_matches_structural():
     res = twisted_growth_bruteforce(zxh1, gens, f, 3, conjugator_radius=15)
     assert res.counts == twisted_growth_structural(zxh1, f, 3, gens=gens) == [1, 7, 26, 70]
     assert res.stable
+
+
+def test_default_conjugator_radius_miscounts_kappa_6_8():
+    # Under (I, (6, 8)) the body v = (-1, 1) has g(v) = gcd(7, 9) = 1 and holds k = 0 and 1, so its two keys are one
+    # class; the shortest conjugator that shifts k by +-1 is (4, -3), of length 7.  Radius n + 2 = 4 misses it, and
+    # so does the recheck at 6; radius 8 reaches it and agrees with the structural count.
+    f = make_automorphism(H1, identity_matrix(2), (6, 8))
+    short = twisted_growth_bruteforce(H1, GENS1, f, 2)
+    assert short.conjugator_radius == 4
+    assert (short.first_pass_counts, short.counts, short.stable) == ([1, 5, 16], [1, 5, 15], False)
+    wide = twisted_growth_bruteforce(H1, GENS1, f, 2, conjugator_radius=8)
+    assert (wide.first_pass_counts, wide.counts, wide.stable) == ([1, 5, 14], [1, 5, 14], True)
+    assert twisted_growth_structural(H1, f, 2, gens=GENS1) == wide.counts
+    assert class_lengths(H1, enumerate_ball(H1, GENS1, 2), (6, 8)).counts(2) == wide.counts
 
 
 def test_bruteforce_exact_past_int64():

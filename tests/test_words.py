@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nilgrowth.words as words
 from nilgrowth.conjugacy import ConjClassKey, class_key, class_lengths, class_modulus
 from nilgrowth.errors import BudgetError, SpecError
 from nilgrowth.groups import central_element, inverse, make_group_spec, multiply, named_spec
 from nilgrowth.words import (
     KEY_LIMIT,
+    NARROW_LIMIT,
+    BallCodec,
     GeneratingSet,
     KeyCodec,
     _step_set,
@@ -171,37 +174,20 @@ def _specs_and_gens(draw):
 
 
 TOP_OF_KEY_RANGE = GeneratingSet(((12013, 0, 0), (0, 12013, 0), (0, 0, 3629657)))
+# A radius-3 ball searched in int32 whose codec bound is 1451 below 2^31 (see test_key_width_follows_the_codec_bound).
+TOP_OF_INT32_RANGE = GeneratingSet(((46, 0, 0), (0, 41, 0), (0, 0, 2600)))
 KAPPAS = st.lists(st.integers(-12, 12), min_size=5, max_size=5)  # cut to the spec's dim
 
 
-@settings(max_examples=60, deadline=None)
-@given(_specs_and_gens(), KAPPAS)
-@example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5), [3, -2, 0, 0, 0])
-@example((named_spec("H1"), GeneratingSet(standard_generating_set(named_spec("H1")).gens + ((0, 0, 1),)), 4), [0] * 5)
-@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4), [1, 0, -4, 6, 0])
-# Class modulus 2 * 2 = 4 above the k radix 2 * 1 + 1 of the radius-1 ball.
-@example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1), [0, 0, 0, 0, 0])
-# An identity generator alone: every sphere past the identity is empty.
-@example((make_group_spec(1, 0), GeneratingSet(((0, 0),)), 1), [2, 0, 0, 0, 0])
-# Runs that touch across a body boundary must not merge: on Z^2 the radius-2 sphere holds (-1, 2) and (0, -2),
-# consecutive keys of bodies -1 and 0 (k radix 5).
-@example((make_group_spec(1, 0), GeneratingSet(((1, -1), (0, 1))), 2), [0] * 5)
-# Deep balls: many runs per sphere, and residue runs that wrap at the modulus.
-@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 10), [-10, -1, 0, 0, 0])
-@example((named_spec("H2"), standard_generating_set(named_spec("H2")), 5), [5, 0, -3, 7, 0])
-@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5), [0] * 5)
-@example((named_spec("ZxH1"), standard_generating_set(named_spec("ZxH1")), 6), [6, 4, -9, 0, 0])
-# The top of the key range: the radix product is just below 2^62 (see test_key_overflow_is_a_spec_error), so the
-# run ends and the gap ends lo - 1 and hi + 1 of the sphere step run just below 2^62.
-@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3), [0] * 5)
-def test_engine_matches_dense_reference(case, kappa):
-    spec, gens, n = case
+def _check_engine(spec, gens, n, kappa):
+    """The ball of (spec, gens, n) against the dense reference, as runs, lengths, class lengths and central counts."""
     table = enumerate_ball(spec, gens, n)
     ref = _reference_ball(spec, gens, n)
     assert list(table.entries.items()) == sorted(ref.items())  # key order is lexicographic row order
     assert table.sphere_sizes == [list(ref.values()).count(l) for l in range(n + 1)]
     # The runs: each sphere's sorted keys exactly, as maximal runs sorted and disjoint, each inside one body.
     codec = table.codec
+    assert all(lo.dtype == hi.dtype == np.int64 for lo, hi in table.runs)  # held runs are int64 at either width
     for level, (lo, hi) in enumerate(table.runs):
         sphere = np.array([g for g, l in ref.items() if l == level]).reshape(-1, spec.ncoords)
         sphere = codec.pack_rows(sphere)
@@ -224,6 +210,90 @@ def test_engine_matches_dense_reference(case, kappa):
     for p in range(1, spec.ncoords):
         outside += [g[: p - 1] + (g[p - 1] - 1, g[p] + radices[p]) + g[p + 1 :] for g in ref]
     assert (table.index(np.array(outside).reshape(-1, spec.ncoords)) == -1).all()
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens(), KAPPAS)
+@example((named_spec("H1"), GeneratingSet(((2, 1, 3), (0, 1, 0))), 5), [3, -2, 0, 0, 0])
+@example((named_spec("H1"), GeneratingSet(standard_generating_set(named_spec("H1")).gens + ((0, 0, 1),)), 4), [0] * 5)
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 4), [1, 0, -4, 6, 0])
+# Class modulus 2 * 2 = 4 above the k radix 2 * 1 + 1 of the radius-1 ball.
+@example((named_spec("HD2"), GeneratingSet(((0, 0, 2, 0, -1),)), 1), [0, 0, 0, 0, 0])
+# An identity generator alone: every sphere past the identity is empty.
+@example((make_group_spec(1, 0), GeneratingSet(((0, 0),)), 1), [2, 0, 0, 0, 0])
+# Runs that touch across a body boundary must not merge: on Z^2 the radius-2 sphere holds (-1, 2) and (0, -2),
+# consecutive keys of bodies -1 and 0 (k radix 5).
+@example((make_group_spec(1, 0), GeneratingSet(((1, -1), (0, 1))), 2), [0] * 5)
+# Deep balls: many runs per sphere, and residue runs that wrap at the modulus.
+@example((named_spec("H1"), standard_generating_set(named_spec("H1")), 10), [-10, -1, 0, 0, 0])
+@example((named_spec("H2"), standard_generating_set(named_spec("H2")), 5), [5, 0, -3, 7, 0])
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5), [0] * 5)
+@example((named_spec("ZxH1"), standard_generating_set(named_spec("ZxH1")), 6), [6, 4, -9, 0, 0])
+# The top of the key range: the radix product is just below 2^62 (see test_key_overflow_is_a_spec_error), so the
+# run ends and the gap ends lo - 1 and hi + 1 of the sphere step run just below 2^62.
+@example((named_spec("H1"), TOP_OF_KEY_RANGE, 3), [0] * 5)
+# The top of the int32 range: the codec's bound on every key and partial sum of the step plan is just below 2^31.
+@example((named_spec("H1"), TOP_OF_INT32_RANGE, 3), [0] * 5)
+def test_engine_matches_dense_reference(case, kappa):
+    _check_engine(*case, kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_gens(), KAPPAS)
+@example((named_spec("H1"), TOP_OF_INT32_RANGE, 3), [0] * 5)
+@example((named_spec("HD2"), standard_generating_set(named_spec("HD2")), 5), [0] * 5)
+def test_engine_matches_dense_reference_in_int64(case, kappa):
+    # The same check with narrowing switched off: every ball above fits int32 keys, so this is the int64 search.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "NARROW_LIMIT", 0)
+        enumerate_ball.cache_clear()
+        try:
+            assert _check_engine(*case, kappa).codec.dtype == np.int64
+        finally:
+            enumerate_ball.cache_clear()
+
+
+def test_key_width_follows_the_codec_bound():
+    # int32 exactly when every key and every partial sum of the step plan stays below 2^31
+    def dtype(spec, gens, n):
+        return BallCodec(spec, _step_set(spec, gens), n).dtype
+
+    h1 = named_spec("H1")
+    # With standard generators the int64 search takes over at H1 r=153, H2 r=20, HD2 r=19 and H3 r=8.
+    for name, last in (("H1", 152), ("H2", 19), ("HD2", 18), ("H3", 7)):
+        spec = named_spec(name)
+        gens = standard_generating_set(spec)
+        assert (dtype(spec, gens, last), dtype(spec, gens, last + 1)) == (np.int32, np.int64)
+    # TOP_OF_INT32_RANGE: the bound (radix product, plus the largest step shift, plus each cross column's largest
+    # entry times its digit's radix) is within 2^31 / 2^16 of 2^31, and one more on the c-step passes it.  The bound
+    # holds an a-step's shift, about a seventh of the radix product at radius 3, so no key of the ball comes nearer.
+    codec = BallCodec(h1, _step_set(h1, TOP_OF_INT32_RANGE), 3)
+    crossed = sum(max(map(abs, corr.ravel().tolist())) * radix for _, radix, _, corr in codec.cross)
+    bound = math.prod(codec.radices) + max(map(abs, codec.deltas.ravel().tolist())) + crossed
+    assert (codec.dtype, NARROW_LIMIT - bound) == (np.int32, 1451)
+    next_up = GeneratingSet(TOP_OF_INT32_RANGE.gens[:2] + ((0, 0, 2601),))
+    assert dtype(h1, next_up, 3) == np.int64
+    assert enumerate_ball(h1, TOP_OF_INT32_RANGE, 3).keys.max() > NARROW_LIMIT - NARROW_LIMIT // 6
+
+
+def test_a_ball_past_int32_keys_stays_int64():
+    # Radix product 2^31.16: a narrowed search of this ball wraps its keys, and its runs then span gigabytes.
+    spec = named_spec("H1")
+    gens = GeneratingSet(((42, 0, 0), (0, 42, 0), (0, 0, 4500)))
+    table = enumerate_ball(spec, gens, 3)
+    assert table.codec.dtype == np.int64  # before keys is touched
+    _check_engine(spec, gens, 3, [0] * 5)
+    assert table.keys.max() >= NARROW_LIMIT
+
+
+def test_a_heavy_plan_is_searched_in_int64():
+    # Weight 2^40: the radius-1 ball's keys fit int32, but its plan entries do not; the radius-2 keys do not either.
+    heavy = make_group_spec(0, 2, (2**40,))
+    gens = standard_generating_set(heavy)
+    assert math.prod(enumerate_ball(heavy, gens, 1).codec.radices) < NARROW_LIMIT
+    for n in (1, 2):
+        assert _check_engine(heavy, gens, n, [0] * 5).codec.dtype == np.int64
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,6 +310,7 @@ def test_ball_and_prefix_tables_are_in_key_order(case, data):
 
 @settings(max_examples=60, deadline=None)
 @given(_specs_and_gens())
+@example((named_spec("H1"), TOP_OF_INT32_RANGE, 3))
 def test_expand_rows_of_a_sorted_sphere_are_sorted(case):
     # The sphere step moves each run whole, from its start alone: right multiplication by a fixed step shifts every
     # key of a body by the same amount, so it keeps key order and a run's end keeps its distance from its start.
@@ -247,13 +318,15 @@ def test_expand_rows_of_a_sorted_sphere_are_sorted(case):
     table = enumerate_ball(spec, gens, n)
     codec, steps = table.codec, _step_set(spec, gens)
     for lo, hi in table.runs[:-1]:  # products of the last sphere may leave the bounds
+        # in the search's own dtype, so a narrowed plan is what is checked against multiply
+        lo, hi = lo.astype(codec.dtype), hi.astype(codec.dtype)
         keys = run_keys(lo, hi)
-        rows = codec.expand(keys, np.empty((len(steps), len(keys)), dtype=np.int64))
+        rows = codec.expand(keys, np.empty((len(steps), len(keys)), dtype=codec.dtype))
         assert (np.diff(rows, axis=1) > 0).all()
         elements = list(map(tuple, codec.coords(keys).tolist()))
         for row, x in zip(rows, steps):
             assert codec.coords(row).tolist() == [list(multiply(spec, g, x)) for g in elements]
-        moved = [codec.expand(ends, np.empty((len(steps), len(lo)), dtype=np.int64)) for ends in (lo, hi)]
+        moved = [codec.expand(ends, np.empty((len(steps), len(lo)), dtype=codec.dtype)) for ends in (lo, hi)]
         assert (moved[1] - moved[0] == hi - lo).all()
 
 
